@@ -106,15 +106,12 @@ class ScenarioSummary:
 
     def window_latencies(self, app_name: str, t_start: float, t_end: float) -> list[float]:
         """Latencies of completions inside ``[t_start, t_end)``."""
-        series = self.apps[app_name]
-        return [
-            lat
-            for time, lat in zip(series.times, series.latencies)
-            if t_start <= time < t_end
-        ]
+        return self._scan_window(app_name, t_start, t_end)[2]
 
-    def app_stats_window(self, app_name: str, t_start: float, t_end: float) -> AppWindowStats:
-        """IOs/bytes/latency digest of one app over an arbitrary window."""
+    def _scan_window(
+        self, app_name: str, t_start: float, t_end: float
+    ) -> tuple[int, int, list[float]]:
+        """One pass over an app's log: ``(ios, bytes, latencies)`` in the window."""
         series = self.apps[app_name]
         total_bytes = 0
         ios = 0
@@ -124,9 +121,14 @@ class ScenarioSummary:
                 total_bytes += size
                 ios += 1
                 latencies.append(lat)
+        return ios, total_bytes, latencies
+
+    def app_stats_window(self, app_name: str, t_start: float, t_end: float) -> AppWindowStats:
+        """IOs/bytes/latency digest of one app over an arbitrary window."""
+        ios, total_bytes, latencies = self._scan_window(app_name, t_start, t_end)
         return AppWindowStats(
             name=app_name,
-            cgroup_path=series.cgroup_path,
+            cgroup_path=self.apps[app_name].cgroup_path,
             ios=ios,
             bytes=total_bytes,
             window_us=t_end - t_start,
@@ -142,27 +144,30 @@ class ScenarioSummary:
         return {name: self.app_stats(name) for name in self.app_names()}
 
     def cgroup_stats(self) -> dict[str, AppWindowStats]:
-        """Per-cgroup stats: member apps merged, latencies pooled."""
-        by_group: dict[str, list[str]] = {}
+        """Per-cgroup stats: member apps merged, latencies pooled.
+
+        Each app's log is scanned once; latencies pool in app-name order.
+        """
+        groups: dict[str, list] = {}
         for name in self.app_names():
-            by_group.setdefault(self.apps[name].cgroup_path, []).append(name)
-        merged: dict[str, AppWindowStats] = {}
-        for path, names in by_group.items():
-            stats_list = [self.app_stats(name) for name in names]
-            all_lat: list[float] = []
-            for name in names:
-                all_lat.extend(
-                    self.window_latencies(name, self.t_start_us, self.t_end_us)
-                )
-            merged[path] = AppWindowStats(
+            ios, total_bytes, latencies = self._scan_window(
+                name, self.t_start_us, self.t_end_us
+            )
+            group = groups.setdefault(self.apps[name].cgroup_path, [0, 0, []])
+            group[0] += ios
+            group[1] += total_bytes
+            group[2].extend(latencies)
+        return {
+            path: AppWindowStats(
                 name=path,
                 cgroup_path=path,
-                ios=sum(s.ios for s in stats_list),
-                bytes=sum(s.bytes for s in stats_list),
+                ios=ios,
+                bytes=total_bytes,
                 window_us=self.window_us,
-                latency=summarize_latencies(all_lat) if all_lat else None,
+                latency=summarize_latencies(latencies) if latencies else None,
             )
-        return merged
+            for path, (ios, total_bytes, latencies) in groups.items()
+        }
 
     def latency_cdf(self, app_name: str, points: int = 200):
         """Empirical latency CDF of one app over the full window."""

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.ssd.model import SsdModel
 from repro.surrogate.features import (
     TARGET_P99_CAP_US,
@@ -121,11 +123,14 @@ class SurrogatePrefilter:
         maps each cgroup to its ``{p99_us, bandwidth_mib_s, util}``
         means plus ``p99_std_us`` spread.
         """
-        import numpy as np
-
         cgroups = scenario_cgroups(scenario)
-        rows = np.asarray([featurize(scenario, cgroup) for cgroup in cgroups])
-        means, stds = self.model.predict(rows)
+        means, stds = self.model.predict(
+            np.asarray([featurize(scenario, cgroup) for cgroup in cgroups])
+        )
+        return self._score(cgroups, means, stds)
+
+    def _score(self, cgroups: list[str], means, stds) -> tuple[float, dict]:
+        """Score one scenario's per-cgroup prediction rows against the SLO."""
         predictions: dict[str, dict] = {}
         shims: dict[str, _PredictedStats] = {}
         aggregate = 0.0
@@ -152,27 +157,44 @@ class SurrogatePrefilter:
         ``evaluator`` renders each assignment into the exact scenario
         the simulator would run (same workload, seed, fidelity), so the
         surrogate scores precisely what verification would measure.
-        Deterministic: ties break on the assignment label.
+        The whole pool is featurized first and predicted in one call per
+        cgroup count (one call when, as usual, every candidate has the
+        same cgroups), with one prediction block per scenario, so every
+        score equals :meth:`predict_scenario`'s. Deterministic: ties
+        break on the assignment label.
         """
         primary = self._primary_p99_group()
-        ranked: list[RankedCandidate] = []
+        by_width: dict[int, list[tuple]] = {}
         for values in candidates:
             normalized = evaluator.space.normalize(values)
             label = evaluator.space.label(normalized)
             scenario = evaluator.scenario_for(normalized, label)
-            total, predictions = self.predict_scenario(scenario)
-            primary_prediction = predictions.get(
-                primary, {"p99_us": TARGET_P99_CAP_US, "p99_std_us": 0.0}
+            cgroups = scenario_cgroups(scenario)
+            rows = [featurize(scenario, cgroup) for cgroup in cgroups]
+            by_width.setdefault(len(cgroups), []).append(
+                (normalized, label, cgroups, rows)
             )
-            ranked.append(
-                RankedCandidate(
-                    values=normalized,
-                    label=label,
-                    predicted_total=total,
-                    predicted_p99_us=primary_prediction["p99_us"],
-                    uncertainty_p99_us=primary_prediction["p99_std_us"],
+        ranked: list[RankedCandidate] = []
+        for width, pool in by_width.items():
+            means, stds = self.model.predict(
+                np.asarray([row for *_, rows in pool for row in rows]),
+                block_rows=width,
+            )
+            for k, (normalized, label, cgroups, _) in enumerate(pool):
+                block = slice(k * width, (k + 1) * width)
+                total, predictions = self._score(cgroups, means[block], stds[block])
+                primary_prediction = predictions.get(
+                    primary, {"p99_us": TARGET_P99_CAP_US, "p99_std_us": 0.0}
                 )
-            )
+                ranked.append(
+                    RankedCandidate(
+                        values=normalized,
+                        label=label,
+                        predicted_total=total,
+                        predicted_p99_us=primary_prediction["p99_us"],
+                        uncertainty_p99_us=primary_prediction["p99_std_us"],
+                    )
+                )
         self.scored += len(ranked)
         return sorted(ranked, key=lambda c: (c.predicted_total, c.label))
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,10 @@ class SurrogateConfig:
             raise ValueError("n_members, n_rounds and max_depth must be >= 1")
         if not 0 < self.learning_rate <= 1:
             raise ValueError("learning_rate must be in (0, 1]")
+        if self.min_samples_leaf < 1 or self.max_thresholds < 1:
+            raise ValueError("min_samples_leaf and max_thresholds must be >= 1")
+        if not self.ridge_alpha >= 0:
+            raise ValueError("ridge_alpha must be >= 0")
 
 
 def _transform(name: str, values: np.ndarray) -> np.ndarray:
@@ -90,34 +95,60 @@ def _inverse(name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _best_split_for_feature(
-    column: np.ndarray, y: np.ndarray, config: SurrogateConfig
-) -> tuple[float, float] | None:
-    """Best (gain, threshold) of one feature via sorted prefix sums.
+@lru_cache(maxsize=None)
+def _strided_keep(count: int, max_thresholds: int) -> np.ndarray:
+    """Which of ``count`` valid boundaries the evenly strided subset keeps.
 
-    All split positions are evaluated vectorized in one pass; when a
-    column has more than ``max_thresholds`` distinct boundaries an
-    evenly strided subset is kept (deterministic). Returns None when no
-    split satisfies ``min_samples_leaf``.
+    Returns a read-only boolean mask over the boundaries' ranks. It
+    depends only on the count, so every column and node with the same
+    count shares one cached mask.
+    """
+    keep = np.zeros(count, dtype=bool)
+    idx = np.linspace(0, count - 1, max_thresholds)
+    keep[np.unique(idx.round().astype(int))] = True
+    keep.flags.writeable = False
+    return keep
+
+
+def _best_split(
+    X: np.ndarray, y: np.ndarray, config: SurrogateConfig
+) -> tuple[int, float] | None:
+    """Best ``(feature, threshold)`` of one node, all features at once.
+
+    Each column is sorted and scored via prefix sums in one pass over
+    the whole matrix. Row ``i - 1`` of the boundary arrays is the split
+    left = ``[0, i)``, right = ``[i, n)`` of that column's sort order.
+    When a column has more than ``max_thresholds`` distinct boundaries
+    an evenly strided subset is kept (deterministic). Each column's
+    totals come from its own sorted prefix sums, so every gain is
+    bit-identical to scoring the column alone. Within a column the
+    first maximum (lowest threshold) wins; across columns a gain must
+    beat the best so far by more than 1e-12, so the lowest feature
+    index wins ties. Returns None when no split satisfies
+    ``min_samples_leaf`` with a positive gain.
     """
     n = y.size
-    order = np.argsort(column, kind="stable")
-    xs, ys = column[order], y[order]
-    # Candidate positions i split into left = [0, i), right = [i, n).
-    boundaries = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-    leaf = config.min_samples_leaf
-    boundaries = boundaries[(boundaries >= leaf) & (boundaries <= n - leaf)]
-    if boundaries.size == 0:
-        return None
-    if boundaries.size > config.max_thresholds:
-        idx = np.linspace(0, boundaries.size - 1, config.max_thresholds)
-        boundaries = boundaries[np.unique(idx.round().astype(int))]
-    prefix = np.concatenate([[0.0], np.cumsum(ys)])
-    prefix_sq = np.concatenate([[0.0], np.cumsum(ys * ys)])
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    prefix = np.cumsum(ys, axis=0)
+    prefix_sq = np.cumsum(ys * ys, axis=0)
     total, total_sq = prefix[-1], prefix_sq[-1]
-    left_n = boundaries.astype(float)
-    left_sum = prefix[boundaries]
-    left_sq = prefix_sq[boundaries]
+
+    leaf = config.min_samples_leaf
+    valid = xs[1:] > xs[:-1]
+    valid[: leaf - 1] = False
+    valid[n - leaf :] = False
+    counts = valid.sum(axis=0)
+    for count in set(counts[counts > config.max_thresholds].tolist()):
+        columns = np.nonzero(counts == count)[0]
+        ranks = np.cumsum(valid[:, columns], axis=0) - 1
+        keep = _strided_keep(count, config.max_thresholds)
+        valid[:, columns] &= keep[np.maximum(ranks, 0)]
+
+    left_n = np.arange(1, n, dtype=float)[:, None]
+    left_sum = prefix[:-1]
+    left_sq = prefix_sq[:-1]
     sse = (
         left_sq
         - left_sum**2 / left_n
@@ -126,52 +157,45 @@ def _best_split_for_feature(
     )
     base_sse = total_sq - total**2 / n
     gains = base_sse - sse
-    pick = int(np.argmax(gains))  # first max: lowest threshold wins ties
-    if gains[pick] <= 1e-12:
+    gains[~valid] = -np.inf
+    picks = gains.argmax(axis=0)  # first max: lowest threshold wins ties
+    best = None  # (gain, feature)
+    for feature, gain in enumerate(gains[picks, np.arange(X.shape[1])].tolist()):
+        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
+            best = (gain, feature)
+    if best is None:
         return None
-    i = boundaries[pick]
-    return float(gains[pick]), float((xs[i - 1] + xs[i]) / 2.0)
+    feature = best[1]
+    i = picks[feature]
+    return feature, float((xs[i, feature] + xs[i + 1, feature]) / 2.0)
 
 
 def _fit_node(
     X: np.ndarray, y: np.ndarray, depth: int, config: SurrogateConfig
-) -> dict:
-    """Greedy variance-reduction split; exact argmax, index tie-breaks."""
+) -> tuple[dict, np.ndarray]:
+    """Greedy variance-reduction tree; exact argmax, index tie-breaks.
+
+    Returns the node and every training row's fitted leaf value, so
+    boosting never has to walk the new tree over its own rows.
+    """
     node_value = float(y.mean()) if y.size else 0.0
+    leaf = {"value": node_value}, np.full(y.size, node_value)
     if depth >= config.max_depth or y.size < 2 * config.min_samples_leaf:
-        return {"value": node_value}
+        return leaf
     if float(((y - y.mean()) ** 2).sum()) <= 1e-12:
-        return {"value": node_value}
-
-    best = None  # (gain, feature, threshold)
-    for feature in range(X.shape[1]):
-        found = _best_split_for_feature(X[:, feature], y, config)
-        # Strictly-greater keeps the lowest feature index on gain ties
-        # -- deterministic.
-        if found is not None and (best is None or found[0] > best[0] + 1e-12):
-            best = (found[0], feature, found[1])
-
-    if best is None:
-        return {"value": node_value}
-    _, feature, threshold = best
+        return leaf
+    split = _best_split(X, y, config)
+    if split is None:
+        return leaf
+    feature, threshold = split
     mask = X[:, feature] <= threshold
-    return {
-        "feature": feature,
-        "threshold": threshold,
-        "left": _fit_node(X[mask], y[mask], depth + 1, config),
-        "right": _fit_node(X[~mask], y[~mask], depth + 1, config),
-    }
-
-
-def _predict_node(node: dict, X: np.ndarray) -> np.ndarray:
-    """Vectorized prediction for one tree."""
-    if "value" in node:
-        return np.full(X.shape[0], node["value"])
-    out = np.empty(X.shape[0])
-    mask = X[:, node["feature"]] <= node["threshold"]
-    out[mask] = _predict_node(node["left"], X[mask])
-    out[~mask] = _predict_node(node["right"], X[~mask])
-    return out
+    left, left_fitted = _fit_node(X[mask], y[mask], depth + 1, config)
+    right, right_fitted = _fit_node(X[~mask], y[~mask], depth + 1, config)
+    fitted = np.empty(y.size)
+    fitted[mask] = left_fitted
+    fitted[~mask] = right_fitted
+    node = {"feature": feature, "threshold": threshold, "left": left, "right": right}
+    return node, fitted
 
 
 def _fit_boosted(
@@ -183,20 +207,117 @@ def _fit_boosted(
     trees: list[dict] = []
     for _ in range(config.n_rounds):
         residual = y - prediction
-        tree = _fit_node(X, residual, 0, config)
+        tree, fitted = _fit_node(X, residual, 0, config)
         if "value" in tree and abs(tree["value"]) < 1e-12:
             break  # residuals exhausted; further rounds are no-ops
         trees.append(tree)
-        prediction = prediction + config.learning_rate * _predict_node(tree, X)
+        prediction = prediction + config.learning_rate * fitted
     return {"base": base, "trees": trees}
 
 
-def _predict_boosted(member: dict, X: np.ndarray, learning_rate: float) -> np.ndarray:
-    """Vectorized prediction for one boosted member."""
-    out = np.full(X.shape[0], member["base"])
-    for tree in member["trees"]:
-        out = out + learning_rate * _predict_node(tree, X)
-    return out
+@dataclass(frozen=True)
+class _Forest:
+    """Every tree of one target's members, compiled into flat arrays.
+
+    Node ``k`` splits on ``feature[k] <= threshold[k]`` into ``left[k]``
+    / ``right[k]``. A leaf holds ``value[k]``, has an infinite threshold
+    and points at itself on both sides, so walking a fixed number of
+    levels always ends on a leaf.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    #: Root node of every tree, member by member, in tree order.
+    roots: np.ndarray
+    #: Per member: its base value and how many trees it has.
+    bases: tuple[float, ...]
+    tree_counts: tuple[int, ...]
+    #: Levels from a root to the deepest leaf.
+    depth: int
+
+    @classmethod
+    def compile(cls, members: list[dict]) -> "_Forest":
+        """Flatten the boosted members of one target spec."""
+        nodes: list[tuple] = []  # (feature, threshold, left, right, value)
+        depth = 0
+
+        def add(node: dict, level: int) -> int:
+            """Append ``node`` and its subtree; return the node's index."""
+            nonlocal depth
+            k = len(nodes)
+            nodes.append((0, math.inf, k, k, node.get("value", 0.0)))
+            if "value" in node:
+                depth = max(depth, level)
+            else:
+                left = add(node["left"], level + 1)
+                right = add(node["right"], level + 1)
+                nodes[k] = (node["feature"], node["threshold"], left, right, 0.0)
+            return k
+
+        roots = [add(tree, 0) for member in members for tree in member["trees"]]
+        feature, threshold, left, right, value = (
+            np.array(nodes, dtype=float).reshape(-1, 5).T
+        )
+        return cls(
+            feature=feature.astype(np.intp),
+            threshold=threshold,
+            left=left.astype(np.intp),
+            right=right.astype(np.intp),
+            value=value,
+            roots=np.array(roots, dtype=np.intp),
+            bases=tuple(member["base"] for member in members),
+            tree_counts=tuple(len(member["trees"]) for member in members),
+            depth=depth,
+        )
+
+    def member_predictions(
+        self, Z: np.ndarray, learning_rate: float
+    ) -> list[np.ndarray]:
+        """Each member's boosted prediction for every row of ``Z``.
+
+        All rows walk all trees together, one level at a time. Each
+        member then adds its trees' shrunken leaf values one tree at a
+        time, in tree order, so every sum is rounded exactly as a
+        tree-by-tree walk would round it.
+        """
+        rows = np.arange(Z.shape[0])
+        node = np.repeat(self.roots[:, None], Z.shape[0], axis=1)
+        for _ in range(self.depth):
+            go_left = Z[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        contributions = learning_rate * self.value[node]
+        predictions = []
+        start = 0
+        for base, count in zip(self.bases, self.tree_counts):
+            out = np.full(Z.shape[0], base)
+            for tree in contributions[start : start + count]:
+                out = out + tree
+            predictions.append(out)
+            start += count
+        return predictions
+
+
+def _ridge_term(Z1: np.ndarray, weights, block_rows: int | None) -> np.ndarray:
+    """Ridge predictions ``Z1 @ weights``, one matrix product per block.
+
+    BLAS rounds a matrix-vector product differently depending on how
+    many rows it gets, so the rows are split into equal blocks of
+    ``block_rows`` (all rows when None). One stacked product over the
+    blocks gives every block exactly the numbers a separate call on
+    that block would give.
+    """
+    weights = np.asarray(weights)
+    if block_rows is None:
+        return Z1 @ weights
+    if block_rows < 1 or Z1.shape[0] % block_rows:
+        raise ValueError(
+            f"block_rows={block_rows} does not divide {Z1.shape[0]} rows"
+        )
+    blocks = Z1.reshape(-1, block_rows, Z1.shape[1])
+    return (blocks @ weights).reshape(-1)
 
 
 @dataclass
@@ -228,13 +349,29 @@ class SurrogateModel:
         std = np.asarray(self.scaler_std)
         return (X - mean) / std
 
-    def predict(self, X) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _forests(self) -> list[_Forest]:
+        """Per-target compiled ensembles (built on first predict).
+
+        Not a dataclass field: it stays out of equality and of
+        :meth:`to_json_dict`, and a loaded model rebuilds it.
+        """
+        return [_Forest.compile(spec["members"]) for spec in self.targets]
+
+    def predict(
+        self, X, block_rows: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Predict ``(means, stds)`` in raw target units, shape (n, 3).
 
         The mean is the ensemble average mapped through the inverse
         target transform; the std is the quantile-style upper spread
         ``inv(mu + sigma) - inv(mu)`` -- non-negative by monotonicity of
         the transforms.
+
+        ``block_rows`` splits the rows into equal consecutive blocks
+        (for example one block per scenario) and makes each block's
+        numbers bit-identical to a separate ``predict`` call on that
+        block alone. The default treats all rows as one block.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
@@ -248,13 +385,14 @@ class SurrogateModel:
         Z1 = np.hstack([Z, np.ones((Z.shape[0], 1))])
         means = np.empty((X.shape[0], len(self.targets)))
         stds = np.empty_like(means)
-        for column, spec in enumerate(self.targets):
-            ridge = Z1 @ np.asarray(spec["ridge"])
+        for column, (spec, forest) in enumerate(zip(self.targets, self._forests)):
+            ridge = _ridge_term(Z1, spec["ridge"], block_rows)
             member_preds = np.stack(
                 [
-                    ridge
-                    + _predict_boosted(member, Z, self.config.learning_rate)
-                    for member in spec["members"]
+                    ridge + boosted
+                    for boosted in forest.member_predictions(
+                        Z, self.config.learning_rate
+                    )
                 ]
             )
             mu = member_preds.mean(axis=0)

@@ -7,6 +7,7 @@ every accessor the figure/table modules use agrees with the equivalent
 ScenarioResult accessor on the same run.
 """
 
+import dataclasses
 import json
 import pickle
 
@@ -14,9 +15,13 @@ import pytest
 
 from repro.core.config import NoneKnob, Scenario
 from repro.core.runner import run_scenario
-from repro.exec.summary import ScenarioSummary, summarize
+from repro.exec.summary import ScenarioSummary, run_scenario_summary, summarize
+from repro.metrics.collector import AppWindowStats
+from repro.metrics.latency import summarize_latencies
 from repro.ssd.presets import samsung_980pro_like
 from repro.workloads.apps import batch_app, lc_app
+
+from tests.differential.scenarios import MINI_BUILDERS
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +125,38 @@ class TestAccessorParity:
         text = summary.describe()
         for name in summary.app_names():
             assert name in text
+
+
+def _two_pass_cgroup_stats(summary: ScenarioSummary) -> dict[str, AppWindowStats]:
+    """The reference reduction: per-app stats, then a second latency pass."""
+    by_group: dict[str, list[str]] = {}
+    for name in summary.app_names():
+        by_group.setdefault(summary.apps[name].cgroup_path, []).append(name)
+    merged = {}
+    for path, names in by_group.items():
+        stats_list = [summary.app_stats(name) for name in names]
+        all_lat: list[float] = []
+        for name in names:
+            all_lat.extend(
+                summary.window_latencies(name, summary.t_start_us, summary.t_end_us)
+            )
+        merged[path] = AppWindowStats(
+            name=path,
+            cgroup_path=path,
+            ios=sum(s.ios for s in stats_list),
+            bytes=sum(s.bytes for s in stats_list),
+            window_us=summary.window_us,
+            latency=summarize_latencies(all_lat) if all_lat else None,
+        )
+    return merged
+
+
+@pytest.mark.parametrize("case", sorted(MINI_BUILDERS))
+def test_single_scan_cgroup_stats_matches_two_pass(case):
+    summary = run_scenario_summary(MINI_BUILDERS[case]())
+    stats = summary.cgroup_stats()
+    reference = _two_pass_cgroup_stats(summary)
+    assert stats == reference
+    assert list(stats) == list(reference)
+    # No memo lands on the cached, pickled summary.
+    assert set(vars(summary)) == {f.name for f in dataclasses.fields(summary)}

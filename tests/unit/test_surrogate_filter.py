@@ -7,6 +7,8 @@ accounting, and the trust-report format are all exercised without long
 simulator runs.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.d6_autotune import default_slo, mini_settings
@@ -89,6 +91,72 @@ class TestPool:
         space, _, _ = setup
         with pytest.raises(ValueError):
             surrogate_pool(space, 0)
+
+
+class _MixedWidthEvaluator:
+    """Renders every third candidate with its priority group only."""
+
+    def __init__(self, evaluator):
+        self.space = evaluator.space
+        self._evaluator = evaluator
+        self._count = 0
+
+    def scenario_for(self, values, label=None):
+        scenario = self._evaluator.scenario_for(values, label)
+        self._count += 1
+        if self._count % 3:
+            return scenario
+        apps = [app for app in scenario.apps if app.cgroup_path == PRIORITY_GROUP]
+        return dataclasses.replace(scenario, apps=apps)
+
+
+class TestRank:
+    def _expected(self, prefilter, evaluator, pool):
+        """Per-candidate ``predict_scenario`` totals and primary p99s."""
+        expected = {}
+        for values in pool:
+            normalized = evaluator.space.normalize(values)
+            label = evaluator.space.label(normalized)
+            total, predictions = prefilter.predict_scenario(
+                evaluator.scenario_for(normalized, label)
+            )
+            expected[label] = (total, predictions[PRIORITY_GROUP]["p99_us"])
+        return expected
+
+    def test_one_predict_call_matches_per_scenario_scores(self, setup, monkeypatch):
+        space, evaluator, model = setup
+        prefilter = make_prefilter(setup)
+        pool = surrogate_pool(space, 24, seed=5)
+        expected = self._expected(prefilter, evaluator, pool)
+        calls = []
+        predict = model.predict
+        monkeypatch.setattr(
+            model, "predict", lambda X, **kw: calls.append(len(X)) or predict(X, **kw)
+        )
+        ranked = prefilter.rank(evaluator, pool)
+        assert calls == [2 * len(pool)]
+        scores = {c.label: (c.predicted_total, c.predicted_p99_us) for c in ranked}
+        assert scores == expected
+        assert [c.predicted_total for c in ranked] == sorted(
+            c.predicted_total for c in ranked
+        )
+
+    def test_mixed_cgroup_counts(self, setup, monkeypatch):
+        space, evaluator, model = setup
+        prefilter = make_prefilter(setup)
+        pool = surrogate_pool(space, 12, seed=6)
+        expected = self._expected(prefilter, _MixedWidthEvaluator(evaluator), pool)
+        calls = []
+        predict = model.predict
+        monkeypatch.setattr(
+            model,
+            "predict",
+            lambda X, **kw: calls.append(kw["block_rows"]) or predict(X, **kw),
+        )
+        ranked = prefilter.rank(_MixedWidthEvaluator(evaluator), pool)
+        assert sorted(calls) == [1, 2]
+        scores = {c.label: (c.predicted_total, c.predicted_p99_us) for c in ranked}
+        assert scores == expected
 
 
 class TestSurrogateSearch:

@@ -58,6 +58,25 @@ class TestFitAndPredict:
             fit_surrogate(X[:, :3], y, NAMES, config=FAST)
 
 
+class TestConfigValidation:
+    def test_max_thresholds_below_one(self):
+        with pytest.raises(ValueError, match="max_thresholds"):
+            SurrogateConfig(max_thresholds=0)
+
+    def test_min_samples_leaf_below_one(self):
+        with pytest.raises(ValueError, match="min_samples_leaf"):
+            SurrogateConfig(min_samples_leaf=0)
+
+    def test_negative_ridge_alpha(self):
+        with pytest.raises(ValueError, match="ridge_alpha"):
+            SurrogateConfig(ridge_alpha=-0.5)
+
+    def test_boundary_values_are_accepted(self):
+        config = SurrogateConfig(max_thresholds=1, min_samples_leaf=1, ridge_alpha=0.0)
+        X, y = training_set(32)
+        fit_surrogate(X, y, NAMES, seed=7, config=config).predict(X)
+
+
 class TestDeterminismAndSerialization:
     def test_identical_fits_are_bit_identical(self):
         X, y = training_set(64)
