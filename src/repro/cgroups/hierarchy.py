@@ -115,9 +115,6 @@ class Cgroup:
             )
         self.processes.add(proc_name)
 
-    def remove_process(self, proc_name: str) -> None:
-        self.processes.discard(proc_name)
-
     @property
     def is_management_group(self) -> bool:
         return bool(self.subtree_control)

@@ -45,7 +45,9 @@ from repro.exec.summary import SUMMARY_SCHEMA_VERSION
 #: JobSpec.arrival_phases time-varying arrivals — scenarios render with
 #: new fields whose defaults older entries never carried, and ctl runs
 #: rewrite knob files mid-run, which no pre-v4 simulator could.
-SCHEMA_VERSION = 4
+#: v5: JobSpec.macro_tick_us removed with macro-tick arrival batching —
+#: specs render without the field, so every v4 key is unreachable.
+SCHEMA_VERSION = 5
 
 _SALT = f"isolbench-cache:v{SCHEMA_VERSION}:summary-v{SUMMARY_SCHEMA_VERSION}"
 

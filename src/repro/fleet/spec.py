@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from repro.ssd.model import SsdModel
 from repro.ssd.presets import get_preset
@@ -40,6 +40,28 @@ TENANT_KINDS = ("lc", "batch", "be")
 DEFAULT_QUEUE_DEPTH = {"lc": 1, "batch": 64, "be": 64}
 
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9\-]*$")
+
+
+def _check_keys(cls, doc, what: str) -> None:
+    """Raise ValueError unless ``doc`` is an object with ``cls``'s keys.
+
+    Names every unknown key and every missing required one, so a typo
+    in a ``--fleet`` file reads as a message, not a constructor error.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    known = {f.name for f in fields(cls)}
+    required = {
+        f.name
+        for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING
+    }
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"{what}: unknown key(s) {', '.join(unknown)}")
+    missing = sorted(required - set(doc))
+    if missing:
+        raise ValueError(f"{what}: missing key(s) {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -143,6 +165,7 @@ class TenantSpec:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TenantSpec":
         """Rebuild from a :meth:`to_json_dict` document."""
+        _check_keys(cls, doc, "tenant")
         return cls(**doc)
 
 
@@ -232,6 +255,9 @@ class FleetSpec:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FleetSpec":
         """Rebuild from a :meth:`to_json_dict` document."""
+        _check_keys(cls, doc, "fleet")
+        if not isinstance(doc["tenants"], list):
+            raise ValueError("fleet: tenants must be a list of objects")
         doc = dict(doc)
         doc["tenants"] = tuple(
             TenantSpec.from_json_dict(tenant) for tenant in doc["tenants"]

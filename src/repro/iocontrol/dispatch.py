@@ -52,20 +52,15 @@ class DispatchEngine:
         self.pump()
 
     def submit_batch(self, reqs: list[IoRequest]) -> None:
-        """Admit several requests arriving at the same tick.
+        """Admit several requests arriving at the same tick, in order.
 
-        Behaviorally identical to calling :meth:`submit` per request in
-        order; the device's cost memos are filled by one vectorized
-        evaluation before the first admission (macro-tick arrival
-        batches land here).
+        Nothing in the simulator calls this; it is kept only because the
+        benchmark's layer instrumentation (``perfbench/layers.py``)
+        wraps it as an entry point and its self-test asserts every
+        wrapped entry point exists. Delete it together with that entry.
         """
-        self.device.precompute_costs(reqs)
-        now = self.sim.now
-        scheduler = self.scheduler
         for req in reqs:
-            req.queued_time = now
-            scheduler.add(req)
-            self.pump()
+            self.submit(req)
 
     def pump(self) -> None:
         """Dispatch the next request if the lock is free."""

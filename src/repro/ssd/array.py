@@ -72,9 +72,3 @@ class SsdArray:
         (which covers the seed) remains sound.
         """
         return self._placement_rng.randrange(len(self.devices))
-
-    def total_bytes_completed(self) -> int:
-        """Aggregate bytes completed across the array (reads + writes)."""
-        return sum(
-            sum(device.bytes_completed.values()) for device in self.devices
-        )

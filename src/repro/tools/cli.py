@@ -260,6 +260,33 @@ def _sweep_stats_line(executor) -> str:
     )
 
 
+def _print_sweep_footer(executor) -> None:
+    """The ``sweep stats:`` and ``perf:`` lines every study command ends with."""
+    stats = executor.stats
+    print(_sweep_stats_line(executor))
+    print(_perf_line(stats.events_processed, stats.elapsed_seconds))
+
+
+def _study_settings(args: argparse.Namespace, mini, quick, default):
+    """The study's settings for ``--mini``, else ``--quick``, else full size."""
+    if args.mini:
+        return mini()
+    if args.quick:
+        return quick()
+    return default()
+
+
+def _write_json(path: str | None, result, what: str) -> None:
+    """Write ``result.to_json_dict()`` to ``--json`` when given, and say so."""
+    if not path:
+        return
+    import json
+
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(result.to_json_dict(), handle, indent=2, sort_keys=True)
+    print(f"wrote {what} JSON: {path}")
+
+
 def _add_executor_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workers",
@@ -292,14 +319,12 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     settings = quick_settings() if args.quick else TableOneSettings()
     with _build_executor(args) as executor:
         table = evaluate_table_one(settings, executor=executor)
-        stats = executor.stats
     print(table.render())
     matches = table.matches_paper()
     total = sum(matches.values())
     print(f"\ncells matching the paper: {total}/{4 * len(matches)}")
     # Machine-checkable summary (CI asserts executed=0 on a warm cache).
-    print(_sweep_stats_line(executor))
-    print(_perf_line(stats.events_processed, stats.elapsed_seconds))
+    _print_sweep_footer(executor)
     return 0
 
 
@@ -311,12 +336,7 @@ def _cmd_d5(args: argparse.Namespace) -> int:
         quick_settings,
     )
 
-    if args.mini:
-        settings = mini_settings()
-    elif args.quick:
-        settings = quick_settings()
-    else:
-        settings = RobustnessSettings()
+    settings = _study_settings(args, mini_settings, quick_settings, RobustnessSettings)
     if args.faults:
         names = tuple(name.strip() for name in args.faults.split(",") if name.strip())
         for name in names:
@@ -325,7 +345,6 @@ def _cmd_d5(args: argparse.Namespace) -> int:
 
     with _build_executor(args) as executor:
         table = evaluate_robustness(settings, executor=executor)
-        stats = executor.stats
     print(table.render())
     best = table.rank()[0]
     print(
@@ -333,14 +352,8 @@ def _cmd_d5(args: argparse.Namespace) -> int:
         f"(mean p99 degradation {best.mean_p99_ratio:.2f}x across "
         f"{len(table.fault_classes)} fault classes)"
     )
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(table.to_json_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote ranking JSON: {args.json}")
-    print(_sweep_stats_line(executor))
-    print(_perf_line(stats.events_processed, stats.elapsed_seconds))
+    _write_json(args.json, table, "ranking")
+    _print_sweep_footer(executor)
     return 0
 
 
@@ -355,12 +368,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.tune.advisor import write_decision_trace
     from repro.tune.space import TUNABLE_KNOBS
 
-    if args.mini:
-        settings = mini_settings()
-    elif args.quick:
-        settings = quick_settings()
-    else:
-        settings = AutotuneSettings()
+    settings = _study_settings(args, mini_settings, quick_settings, AutotuneSettings)
     if args.knob != "auto":
         names = tuple(name.strip() for name in args.knob.split(",") if name.strip())
         unknown = set(names) - set(TUNABLE_KNOBS)
@@ -382,19 +390,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     with _build_executor(args) as executor:
         report = evaluate_autotune(settings, slo=slo, executor=executor)
-        stats = executor.stats
     print(report.render())
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote advisor JSON: {args.json}")
+    _write_json(args.json, report, "advisor")
     if args.trace_out:
         write_decision_trace(report, args.trace_out)
         print(f"wrote decision trace: {args.trace_out}")
-    print(_sweep_stats_line(executor))
-    print(_perf_line(stats.events_processed, stats.elapsed_seconds))
+    _print_sweep_footer(executor)
     return 0
 
 
@@ -411,12 +412,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
     from repro.fleet.spec import apply_slo_overrides, demo_fleet, load_fleet
     from repro.tune.slo import parse_slo
 
-    if args.mini:
-        settings = mini_settings()
-    elif args.quick:
-        settings = quick_settings()
-    else:
-        settings = PlacementSettings()
+    settings = _study_settings(args, mini_settings, quick_settings, PlacementSettings)
     if args.budget is not None:
         settings = replace(settings, budget=args.budget)
     try:
@@ -435,16 +431,9 @@ def _cmd_place(args: argparse.Namespace) -> int:
             seed=args.seed,
             executor=executor,
         )
-        stats = executor.stats
     print(comparison.render())
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(comparison.to_json_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote placement JSON: {args.json}")
-    print(_sweep_stats_line(executor))
-    print(_perf_line(stats.events_processed, stats.elapsed_seconds))
+    _write_json(args.json, comparison, "placement")
+    _print_sweep_footer(executor)
     return 0
 
 
@@ -462,12 +451,7 @@ def _cmd_ctl(args: argparse.Namespace) -> int:
         quick_settings,
     )
 
-    if args.mini:
-        settings = mini_settings()
-    elif args.quick:
-        settings = quick_settings()
-    else:
-        settings = OnlineControlSettings()
+    settings = _study_settings(args, mini_settings, quick_settings, OnlineControlSettings)
     if args.knobs:
         settings.knobs = tuple(
             name.strip() for name in args.knobs.split(",") if name.strip()
@@ -490,14 +474,8 @@ def _cmd_ctl(args: argparse.Namespace) -> int:
 
     with _build_executor(args) as executor:
         table = evaluate_online_control(settings, executor=executor)
-        stats = executor.stats
     print(table.render())
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(table.to_json_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote control matrix JSON: {args.json}")
+    _write_json(args.json, table, "control matrix")
     if args.trace_out or args.prof:
         # The sweep only returns summaries; the decision trace and the
         # profile live on the Host, so re-run the requested online cell
@@ -533,8 +511,7 @@ def _cmd_ctl(args: argparse.Namespace) -> int:
 
             print(f"\nengine phase breakdown ({knob}/{pattern} online):")
             print(format_phase_table(result.profile))
-    print(_sweep_stats_line(executor))
-    print(_perf_line(stats.events_processed, stats.elapsed_seconds))
+    _print_sweep_footer(executor)
     return 0
 
 
@@ -547,12 +524,7 @@ def _cmd_d9(args: argparse.Namespace) -> int:
     )
     from repro.tune.space import TUNABLE_KNOBS
 
-    if args.mini:
-        settings = mini_settings()
-    elif args.quick:
-        settings = quick_settings()
-    else:
-        settings = SurrogateStudySettings()
+    settings = _study_settings(args, mini_settings, quick_settings, SurrogateStudySettings)
     if args.knobs:
         names = tuple(name.strip() for name in args.knobs.split(",") if name.strip())
         unknown = set(names) - set(TUNABLE_KNOBS)
@@ -568,16 +540,9 @@ def _cmd_d9(args: argparse.Namespace) -> int:
 
     with _build_executor(args) as executor:
         report = evaluate_surrogate_study(settings, executor=executor)
-        stats = executor.stats
     print(report.render())
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote study JSON: {args.json}")
-    print(_sweep_stats_line(executor))
-    print(_perf_line(stats.events_processed, stats.elapsed_seconds))
+    _write_json(args.json, report, "study")
+    _print_sweep_footer(executor)
     return 0
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-import zlib
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.iorequest import IoRequest, OpType
 from repro.sim.engine import Simulator
@@ -33,7 +32,6 @@ class App:
         rng: random.Random,
         device_index: int = 0,
         prio_class: int = 0,
-        arrival_rng: Optional[random.Random] = None,
     ):
         self.sim = sim
         self.spec = spec
@@ -43,10 +41,6 @@ class App:
         self.prio_class = prio_class
         self.outstanding = 0
         self.issued = 0
-        # Macro-tick mode draws inter-arrival gaps from a dedicated
-        # stream so the op-direction stream (self.rng) is untouched.
-        self._arrival_rng = arrival_rng
-        self._arrival_carry: dict = {}
         self._bucket: TokenBucket | None = None
         if spec.rate_limit_bps is not None:
             rate_per_us = spec.rate_limit_bps / 1e6
@@ -67,16 +61,10 @@ class App:
                     phase.start_us, lambda p=phase: self._arrive_phase(p)
                 )
         elif self.spec.arrival_rate_iops is not None:
-            if self.spec.macro_tick_us is not None:
-                for window in self.spec.windows:
-                    self.sim.schedule_at(
-                        window.start_us, lambda w=window: self._macro_tick(w)
-                    )
-            else:
-                for window in self.spec.windows:
-                    self.sim.schedule_at(
-                        window.start_us, lambda w=window: self._arrive(w)
-                    )
+            for window in self.spec.windows:
+                self.sim.schedule_at(
+                    window.start_us, lambda w=window: self._arrive(w)
+                )
         else:
             for window in self.spec.windows:
                 self.sim.schedule_at(window.start_us, self._fill)
@@ -110,40 +98,6 @@ class App:
         self._issue_one()
         gap = self.rng.expovariate(phase.rate_iops / 1e6)
         self.sim.schedule(gap, lambda: self._arrive_phase(phase))
-
-    def _macro_tick(self, window) -> None:
-        """Open-loop arrivals, one engine callback per macro tick.
-
-        Every arrival whose (pre-drawn) Poisson timestamp falls inside
-        ``[now, now + macro_tick_us)`` is issued together at the tick
-        boundary; the residual gap carries into the next tick so the
-        long-run arrival rate is exact. Compared to :meth:`_arrive`
-        this quantizes submit times to the tick but replaces one engine
-        callback per request with one per tick.
-        """
-        if not window.start_us <= self.sim.now < window.stop_us:
-            return
-        tick = self.spec.macro_tick_us
-        arrival_rng = self._arrival_rng
-        if arrival_rng is None:
-            arrival_rng = self._arrival_rng = random.Random(
-                zlib.crc32(self.spec.name.encode())
-            )
-        expovariate = arrival_rng.expovariate
-        rate_per_us = self.spec.arrival_rate_iops / 1e6
-        carry = self._arrival_carry.pop(window, None)
-        if carry is None:
-            # First tick of this window: draw the gap to its first arrival.
-            carry = expovariate(rate_per_us)
-        count = 0
-        while carry < tick:
-            count += 1
-            carry += expovariate(rate_per_us)
-        self._arrival_carry[window] = carry - tick
-        for _ in range(count):
-            self.outstanding += 1
-            self._issue_one()
-        self.sim.schedule(tick, lambda: self._macro_tick(window))
 
     def _fill(self) -> None:
         """Top the queue back up to the configured depth."""

@@ -75,14 +75,6 @@ class JobSpec:
     # behind "bursty apps" (D4). ``queue_depth`` is ignored; backlog can
     # grow without bound under overload, as in real open-loop clients.
     arrival_rate_iops: float | None = None
-    # Macro-tick arrival batching (opt-in, open-loop only): when set,
-    # arrivals are drawn in blocks from a dedicated RNG stream and all
-    # arrivals falling inside one tick are issued together at the tick
-    # boundary -- one engine callback per tick instead of one per
-    # request. Submission times are quantized to the tick, so enable it
-    # only where that coarsening is acceptable (throughput studies, not
-    # per-request latency tails).
-    macro_tick_us: float | None = None
     # Time-varying open-loop arrivals: a sorted, non-overlapping phase
     # timeline replacing the single ``arrival_rate_iops`` constant (the
     # two are mutually exclusive). Phase times are raw simulated
@@ -105,11 +97,6 @@ class JobSpec:
                 raise ValueError("arrival rate must be positive when set")
             if self.rate_limit_bps is not None:
                 raise ValueError("open-loop jobs cannot also set a rate limit")
-        if self.macro_tick_us is not None:
-            if self.arrival_rate_iops is None:
-                raise ValueError("macro_tick_us requires arrival_rate_iops")
-            if self.macro_tick_us <= 0:
-                raise ValueError("macro_tick_us must be positive when set")
         if self.arrival_phases is not None:
             if self.arrival_rate_iops is not None:
                 raise ValueError(
@@ -117,8 +104,6 @@ class JobSpec:
                 )
             if self.rate_limit_bps is not None:
                 raise ValueError("phased jobs cannot also set a rate limit")
-            if self.macro_tick_us is not None:
-                raise ValueError("phased jobs cannot use macro-tick batching")
             if not self.arrival_phases:
                 raise ValueError("arrival_phases must not be empty when set")
             for earlier, later in zip(self.arrival_phases, self.arrival_phases[1:]):

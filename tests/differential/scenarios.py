@@ -4,8 +4,8 @@ One representative scenario per desideratum, each cheap enough that the
 whole suite runs both engine cores in seconds. The shapes deliberately
 cover every scheduler/throttle path (io.cost, BFQ, io.latency, io.max,
 MQ-DL + faults, tuned-QoS io.cost), both workload drive modes
-(closed-loop refill and open-loop Poisson arrivals, including the
-macro-tick batching mode), and the profiled event loop.
+(closed-loop refill and open-loop Poisson arrivals), and the profiled
+event loop.
 
 Module-level so the 2-worker spawn test can pickle builder references.
 """
@@ -132,37 +132,6 @@ def d4_mini() -> Scenario:
     )
 
 
-def d4_macro_mini() -> Scenario:
-    """D4 burst shape with macro-tick arrival batching enabled.
-
-    Same scenario as :func:`d4_mini` but the open-loop app batches its
-    arrivals (``macro_tick_us``): the differential suite proves the
-    macro-tick path is itself engine-independent.
-    """
-    base = d4_mini()
-    apps = [
-        spec
-        if spec.arrival_rate_iops is None
-        else JobSpec(
-            name=spec.name,
-            cgroup_path=spec.cgroup_path,
-            arrival_rate_iops=spec.arrival_rate_iops,
-            macro_tick_us=500.0 * SCALE,
-        )
-        for spec in base.apps
-    ]
-    return Scenario(
-        name="diff-d4-macro",
-        knob=base.knob,
-        apps=apps,
-        ssd_model=base.ssd_model,
-        duration_s=0.15,
-        warmup_s=0.05,
-        seed=_SEED,
-        device_scale=SCALE,
-    )
-
-
 def d5_mini() -> Scenario:
     """D5 robustness shape: LC vs BE under a GC storm, MQ-DL classes."""
     return Scenario(
@@ -220,7 +189,6 @@ MINI_BUILDERS = {
     "d2": d2_mini,
     "d3": d3_mini,
     "d4": d4_mini,
-    "d4-macro": d4_macro_mini,
     "d5": d5_mini,
     "d6": d6_mini,
     "none": d_none_mini,

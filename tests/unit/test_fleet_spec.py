@@ -66,6 +66,18 @@ class TestTenantSpec:
         )
         assert TenantSpec.from_json_dict(tenant.to_json_dict()) == tenant
 
+    def test_from_json_names_unknown_key(self):
+        with pytest.raises(ValueError, match="tenant: unknown key.*sizekib"):
+            TenantSpec.from_json_dict({"name": "a", "sizekib": 4})
+
+    def test_from_json_names_missing_key(self):
+        with pytest.raises(ValueError, match="tenant: missing key.*name"):
+            TenantSpec.from_json_dict({"kind": "lc"})
+
+    def test_from_json_rejects_non_object(self):
+        with pytest.raises(ValueError, match="tenant must be a JSON object"):
+            TenantSpec.from_json_dict("a")
+
 
 class TestFleetSpec:
     def test_slots_are_host_major(self):
@@ -114,6 +126,32 @@ class TestFleetSpec:
         doc = json.loads(path.read_text())
         assert doc["name"] == "demo-fleet"
         assert [t["name"] for t in doc["tenants"]] == list(fleet.tenant_names())
+
+    def test_from_json_names_missing_tenants(self):
+        doc = demo_fleet().to_json_dict()
+        del doc["tenants"]
+        with pytest.raises(ValueError, match="fleet: missing key.*tenants"):
+            FleetSpec.from_json_dict(doc)
+
+    def test_from_json_names_unknown_key(self):
+        doc = dict(demo_fleet().to_json_dict(), host=2)
+        with pytest.raises(ValueError, match="fleet: unknown key.*host"):
+            FleetSpec.from_json_dict(doc)
+
+    @pytest.mark.parametrize("tenants", [{"name": "a"}, "a", None])
+    def test_from_json_rejects_tenants_not_a_list(self, tenants):
+        doc = dict(demo_fleet().to_json_dict(), tenants=tenants)
+        with pytest.raises(ValueError, match="tenants must be a list"):
+            FleetSpec.from_json_dict(doc)
+
+    def test_from_json_rejects_tenant_that_is_not_an_object(self):
+        doc = dict(demo_fleet().to_json_dict(), tenants=["lc-api"])
+        with pytest.raises(ValueError, match="tenant must be a JSON object"):
+            FleetSpec.from_json_dict(doc)
+
+    def test_from_json_rejects_non_object(self):
+        with pytest.raises(ValueError, match="fleet must be a JSON object"):
+            FleetSpec.from_json_dict([])
 
 
 class TestSloOverrides:

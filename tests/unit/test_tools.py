@@ -1,10 +1,12 @@
 """Unit tests for iocost_coef_gen, report rendering, and the CLI."""
 
+import json
 import re
 
 import pytest
 
 from repro.core.report import render_series, render_table
+from repro.fleet.spec import demo_fleet
 from repro.iorequest import GIB, KIB, OpType, Pattern
 from repro.ssd.presets import intel_optane_like, samsung_980pro_like
 from repro.tools.cli import build_parser, main
@@ -106,6 +108,14 @@ class TestCli:
     def test_tune_unknown_knob(self):
         with pytest.raises(SystemExit, match="unknown knob"):
             main(["tune", "--mini", "--knob", "io.imaginary"])
+
+    def test_place_malformed_fleet_exits_with_message(self, tmp_path):
+        doc = demo_fleet().to_json_dict()
+        doc["tenants"][0]["sizekib"] = 4
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit, match="unknown key.*sizekib"):
+            main(["place", "--fleet", str(path)])
 
     def test_coef_gen(self, capsys):
         assert main(["coef-gen", "optane"]) == 0

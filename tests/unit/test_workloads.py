@@ -287,15 +287,6 @@ class TestPhasedJobSpec:
                 arrival_phases=self.phases(),
             )
 
-    def test_phased_job_cannot_macro_tick(self):
-        with pytest.raises(ValueError):
-            JobSpec(
-                name="j",
-                cgroup_path="/g",
-                macro_tick_us=100.0,
-                arrival_phases=self.phases(),
-            )
-
     def test_empty_phase_tuple_rejected(self):
         with pytest.raises(ValueError):
             JobSpec(name="j", cgroup_path="/g", arrival_phases=())
