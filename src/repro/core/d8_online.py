@@ -130,10 +130,14 @@ class OnlineControlSettings:
             raise ValueError("need at least one arrival pattern")
         unknown = set(self.patterns) - set(DEFAULT_PATTERNS)
         if unknown:
-            raise ValueError(f"unknown patterns: {sorted(unknown)}")
+            raise ValueError(
+                f"unknown patterns: {sorted(unknown)}; options: {list(DEFAULT_PATTERNS)}"
+            )
+        if not self.knobs:
+            raise ValueError("need at least one knob")
         unknown = set(self.knobs) - set(CTL_KNOBS)
         if unknown:
-            raise ValueError(f"unknown knobs: {sorted(unknown)}")
+            raise ValueError(f"unknown knobs: {sorted(unknown)}; options: {list(CTL_KNOBS)}")
 
     @property
     def duration_us(self) -> float:

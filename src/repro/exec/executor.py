@@ -36,7 +36,7 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from repro.core.config import Scenario
@@ -129,9 +129,6 @@ class ExecutorStats:
     busy_seconds: float = 0.0
     #: Size of the worker pool (per-sweep capacity multiplier).
     workers: int = 1
-    #: Busy seconds per worker process, keyed by pid (the coordinating
-    #: process itself for serial executors).
-    worker_busy: dict[str, float] = field(default_factory=dict)
 
     @property
     def events_per_sec(self) -> float:
@@ -153,23 +150,6 @@ class ExecutorStats:
         capacity = self.workers * self.elapsed_seconds
         return self.busy_seconds / capacity if capacity > 0 else 0.0
 
-    def to_json_dict(self) -> dict:
-        """Plain-dict form for bench trajectory files."""
-        return {
-            "sweeps": self.sweeps,
-            "executed": self.executed,
-            "cached": self.cached,
-            "failed": self.failed,
-            "deduped": self.deduped,
-            "events_processed": self.events_processed,
-            "elapsed_seconds": self.elapsed_seconds,
-            "busy_seconds": self.busy_seconds,
-            "idle_seconds": self.idle_seconds,
-            "utilization": self.utilization,
-            "workers": self.workers,
-            "worker_busy": dict(sorted(self.worker_busy.items())),
-        }
-
     def __str__(self) -> str:
         return (
             f"{self.sweeps} sweep(s): {self.executed} executed, "
@@ -184,19 +164,19 @@ def _run_in_worker(scenario: Scenario):
 
     Exceptions are caught *inside* the worker so their traceback text --
     which would otherwise die with the child process -- survives the
-    trip back to the parent. The last payload element is worker-side
-    accounting ``(pid, busy_seconds)`` feeding per-worker utilization.
+    trip back to the parent. The last payload element is the
+    worker-side busy seconds feeding pool utilization.
     """
     started = time.perf_counter()
     try:
         summary = run_scenario_summary(scenario)
-        return ("ok", summary, (os.getpid(), time.perf_counter() - started))
+        return ("ok", summary, time.perf_counter() - started)
     except BaseException as exc:  # noqa: BLE001 - reported, not swallowed
         return (
             "err",
             repr(exc),
             traceback.format_exc(),
-            (os.getpid(), time.perf_counter() - started),
+            time.perf_counter() - started,
         )
 
 
@@ -271,7 +251,6 @@ class SweepExecutor:
         cached = failed = done = deduped = 0
         events = 0
         busy = 0.0
-        busy_by_pid: dict[str, float] = {}
 
         def emit() -> None:
             if self.progress is not None:
@@ -320,29 +299,19 @@ class SweepExecutor:
             to_run.append(index)
 
         # Phase 2: execute the misses.
-        def note_busy(meta) -> None:
-            nonlocal busy
-            if meta is None:
-                return
-            pid, seconds = meta
-            busy += seconds
-            key = str(pid)
-            busy_by_pid[key] = busy_by_pid.get(key, 0.0) + seconds
-
         def record(index: int, payload) -> None:
-            nonlocal done, failed, events, deduped
+            nonlocal done, failed, events, deduped, busy
             fanout = [index, *followers.get(index, ())]
+            busy += payload[-1]
             if payload[0] == "ok":
-                _, summary, meta = payload
-                note_busy(meta)
+                _, summary, _ = payload
                 events += summary.events_processed
                 if self.cache is not None and keys[index] is not None:
                     self.cache.put(keys[index], summary, scenario=scenarios[index])
                 for slot in fanout:
                     results[slot] = summary
             else:
-                _, error, tb_text, meta = payload
-                note_busy(meta)
+                _, error, tb_text, _ = payload
                 for slot in fanout:
                     results[slot] = SweepError(
                         scenario_name=scenarios[slot].name,
@@ -382,7 +351,7 @@ class SweepExecutor:
                                     type(exc), exc, exc.__traceback__
                                 )
                             ),
-                            None,  # no worker-side accounting survived
+                            0.0,  # no worker-side accounting survived
                         )
                     else:
                         payload = future.result()
@@ -397,8 +366,6 @@ class SweepExecutor:
         self.stats.events_processed += events
         self.stats.elapsed_seconds += time.perf_counter() - started
         self.stats.busy_seconds += busy
-        for pid, seconds in busy_by_pid.items():
-            self.stats.worker_busy[pid] = self.stats.worker_busy.get(pid, 0.0) + seconds
         return results  # type: ignore[return-value]
 
     def run_strict(self, scenarios: Sequence[Scenario]) -> list[ScenarioSummary]:

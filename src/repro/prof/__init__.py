@@ -1,27 +1,22 @@
-"""repro.prof: simulator self-observability and continuous benchmarking.
+"""repro.prof: simulator self-observability.
 
 Where :mod:`repro.obs` answers "where does a *request's* latency go?",
 ``repro.prof`` answers "where does the *simulator's* wall-clock time
 go?" — the prerequisite for the engine speedup work (ROADMAP item 2):
 a hot-path change is only a win if the per-phase breakdown says so.
 
-Two layers:
-
-* :class:`SimProfiler` — near-zero-overhead-when-disabled phase timers
-  over the engine hot path. Every fired event callback is attributed to
-  a phase of the request pipeline (workload issue, throttle decision,
-  scheduler dispatch, device service, fault injection, obs emission, …)
-  by the module that owns the callback, plus explicit nested phase
-  timers and allocation/event counters. Enable by passing
-  ``prof=ProfConfig()`` to a :class:`~repro.core.config.Scenario`; read
-  the :class:`SimProfile` back from ``ScenarioResult.profile``. With
-  ``prof=None`` (the default) the simulator runs the exact
-  un-instrumented event loop — the same pay-for-what-you-use contract
-  :mod:`repro.obs` honours, guarded by the same overhead benchmark.
-* :mod:`repro.prof.bench` — a pinned benchmark suite (``isol-bench
-  bench``) over representative scenarios, emitting ``BENCH_<n>.json``
-  trajectory files and comparing runs against the committed trajectory
-  with machine-normalized paired-median thresholds.
+:class:`SimProfiler` holds near-zero-overhead-when-disabled phase
+timers over the engine hot path. Every fired event callback is
+attributed to a phase of the request pipeline (workload issue, throttle
+decision, scheduler dispatch, device service, fault injection, obs
+emission, …) by the module that owns the callback, plus event
+counters. Enable by passing ``prof=ProfConfig()`` to a
+:class:`~repro.core.config.Scenario`; read the :class:`SimProfile` back
+from ``ScenarioResult.profile``. With ``prof=None`` (the default) the
+simulator runs the exact un-instrumented event loop — the same
+pay-for-what-you-use contract :mod:`repro.obs` honours, guarded by the
+same overhead benchmark. Whole-pipeline timing of the study commands
+lives outside the package, in ``perfbench/``.
 
 Exporters mirror :mod:`repro.obs.export` conventions: JSON documents, a
 pstats-compatible dump loadable by :class:`pstats.Stats`, and Chrome
@@ -35,13 +30,12 @@ from repro.prof.export import (
     write_pstats,
 )
 from repro.prof.phases import ENGINE_POP, PHASES, phase_of_code
-from repro.prof.profiler import ProfilerError, SimProfile, SimProfiler
+from repro.prof.profiler import SimProfile, SimProfiler
 
 __all__ = [
     "ProfConfig",
     "SimProfiler",
     "SimProfile",
-    "ProfilerError",
     "PHASES",
     "ENGINE_POP",
     "phase_of_code",

@@ -46,14 +46,6 @@ def format_phase_table(profile: SimProfile) -> str:
         f"{'loop total':<12s} {profile.events_accounted:>10,d} {loop:>9.3f} "
         f"(coverage {100.0 * profile.coverage():.1f}%)"
     )
-    if profile.span_wall:
-        lines.append("")
-        lines.append(f"{'span':<12s} {'enters':>10s} {'wall s':>9s}")
-        for name, wall in sorted(
-            profile.span_wall.items(), key=lambda item: item[1], reverse=True
-        ):
-            enters = profile.span_events.get(name, 0)
-            lines.append(f"{name:<12s} {enters:>10,d} {wall:>9.3f}")
     return "\n".join(lines)
 
 
@@ -69,9 +61,6 @@ def write_pstats(profile: SimProfile, path: str) -> None:
     for phase, wall in profile.phase_wall.items():
         events = max(1, profile.phase_events.get(phase, 0))
         stats[(_PSTATS_FILE, 0, phase)] = (events, events, wall, wall, {})
-    for name, wall in profile.span_wall.items():
-        enters = max(1, profile.span_events.get(name, 0))
-        stats[(_PSTATS_FILE, 0, f"span:{name}")] = (enters, enters, wall, wall, {})
     with open(path, "wb") as fh:
         marshal.dump(stats, fh)
 

@@ -1,19 +1,12 @@
 """The simulator self-profiler: phase timers and event counters.
 
-Two complementary instruments live on one :class:`SimProfiler`:
-
-* **Event-loop phase attribution** — the profiled event loop
-  (:meth:`repro.sim.engine.Simulator.run_until_profiled`) times every
-  fired callback and attributes it to a pipeline phase via
-  :func:`repro.prof.phases.phase_of_code`, memoized per code object.
-  Heap-pop and loop bookkeeping time lands in the synthetic
-  ``engine.pop`` phase, so the per-phase wall-clock breakdown sums to
-  the measured loop wall-clock (the bench suite asserts >= 90%
-  coverage; the remainder is timer-read overhead).
-* **Explicit nested phase spans** — :meth:`push`/:meth:`pop` (or the
-  :meth:`phase` context manager) time coarse stages like host build or
-  summarization. Attribution is *exclusive*: entering a child span
-  pauses its parent, so span wall-clocks are disjoint and sum cleanly.
+The profiled event loop
+(:meth:`repro.sim.engine.Simulator.run_until_profiled`) times every
+fired callback and attributes it to a pipeline phase via
+:func:`repro.prof.phases.phase_of_code`, memoized per code object.
+Heap-pop and loop bookkeeping time lands in the synthetic
+``engine.pop`` phase, so the per-phase wall-clock breakdown sums to
+the measured loop wall-clock (the remainder is timer-read overhead).
 
 The profiler is only ever constructed when ``Scenario.prof`` is set;
 the un-profiled hot path never sees any of this.
@@ -21,16 +14,10 @@ the un-profiled hot path never sees any of this.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from time import perf_counter
 
 from repro.prof.config import ProfConfig
 from repro.prof.phases import ENGINE_POP, phase_of_filename
-
-
-class ProfilerError(RuntimeError):
-    """Raised on phase-span misuse (unbalanced or mismatched push/pop)."""
 
 
 @dataclass
@@ -41,10 +28,6 @@ class SimProfile:
     phase_wall: dict[str, float] = field(default_factory=dict)
     #: Fired-callback count per event-loop phase.
     phase_events: dict[str, int] = field(default_factory=dict)
-    #: Wall-clock seconds per explicit (nested) phase span, exclusive.
-    span_wall: dict[str, float] = field(default_factory=dict)
-    #: Number of times each explicit phase span was entered.
-    span_events: dict[str, int] = field(default_factory=dict)
     #: Allocation/event counters (events scheduled, fired, cancelled, …).
     counters: dict[str, float] = field(default_factory=dict)
     #: Total wall-clock seconds spent inside the profiled event loop.
@@ -70,40 +53,16 @@ class SimProfile:
         return sum(self.phase_wall.values()) / self.loop_wall_seconds
 
     def to_json_dict(self) -> dict:
-        """Plain-dict form (JSON-serializable) for trajectory files."""
+        """Plain-dict form (JSON-serializable), as ``--prof-format json`` writes."""
         return {
             "phase_wall": dict(sorted(self.phase_wall.items())),
             "phase_events": dict(sorted(self.phase_events.items())),
-            "span_wall": dict(sorted(self.span_wall.items())),
-            "span_events": dict(sorted(self.span_events.items())),
             "counters": dict(sorted(self.counters.items())),
             "loop_wall_seconds": self.loop_wall_seconds,
             "coverage": self.coverage(),
             "bucket_us": self.bucket_us,
             "buckets": [dict(bucket) for bucket in self.buckets],
         }
-
-
-def merge_profiles(profiles: list[SimProfile]) -> SimProfile:
-    """Sum several profiles into one (bench cases run scenario lists).
-
-    Timeline buckets are not merged — they are per-run artifacts; the
-    merged profile carries totals only.
-    """
-    total = SimProfile()
-    for profile in profiles:
-        for key, value in profile.phase_wall.items():
-            total.phase_wall[key] = total.phase_wall.get(key, 0.0) + value
-        for key, count in profile.phase_events.items():
-            total.phase_events[key] = total.phase_events.get(key, 0) + count
-        for key, value in profile.span_wall.items():
-            total.span_wall[key] = total.span_wall.get(key, 0.0) + value
-        for key, count in profile.span_events.items():
-            total.span_events[key] = total.span_events.get(key, 0) + count
-        for key, value in profile.counters.items():
-            total.counters[key] = total.counters.get(key, 0.0) + value
-        total.loop_wall_seconds += profile.loop_wall_seconds
-    return total
 
 
 class SimProfiler:
@@ -118,8 +77,6 @@ class SimProfiler:
         self.config = config or ProfConfig()
         self.phase_wall: dict[str, float] = {ENGINE_POP: 0.0}
         self.phase_events: dict[str, int] = {}
-        self.span_wall: dict[str, float] = {}
-        self.span_events: dict[str, int] = {}
         self.counters: dict[str, float] = {}
         self.loop_wall_seconds = 0.0
         self.bucket_us = self.config.timeline_bucket_us
@@ -127,7 +84,6 @@ class SimProfiler:
         self._bucket_end = self.bucket_us
         self._bucket_acc: dict[str, float] = {}
         self._phase_cache: dict = {}
-        self._stack: list[list] = []
 
     # ------------------------------------------------------------------
     # Event-loop side (called from Simulator.run_until_profiled)
@@ -169,73 +125,15 @@ class SimProfiler:
         self.counters["events.pending"] = float(sim.pending_events())
 
     # ------------------------------------------------------------------
-    # Explicit nested phase spans
-    # ------------------------------------------------------------------
-    def push(self, name: str) -> None:
-        """Open a nested phase span; pauses the enclosing span."""
-        now = perf_counter()
-        stack = self._stack
-        if stack:
-            top = stack[-1]
-            self.span_wall[top[0]] = self.span_wall.get(top[0], 0.0) + (
-                now - top[1]
-            )
-            top[1] = now
-        stack.append([name, now])
-        self.span_events[name] = self.span_events.get(name, 0) + 1
-
-    def pop(self, name: str | None = None) -> str:
-        """Close the innermost span (checked against ``name`` if given)."""
-        now = perf_counter()
-        if not self._stack:
-            raise ProfilerError("pop() with no open phase span")
-        top_name, mark = self._stack.pop()
-        if name is not None and name != top_name:
-            raise ProfilerError(
-                f"phase span mismatch: pop({name!r}) but {top_name!r} is open"
-            )
-        self.span_wall[top_name] = self.span_wall.get(top_name, 0.0) + (
-            now - mark
-        )
-        if self._stack:
-            self._stack[-1][1] = now
-        return top_name
-
-    @contextmanager
-    def phase(self, name: str):
-        """``with prof.phase("build"):`` — exception-safe push/pop."""
-        self.push(name)
-        try:
-            yield self
-        finally:
-            self.pop(name)
-
-    @property
-    def open_spans(self) -> list[str]:
-        """Names of currently open spans, outermost first."""
-        return [entry[0] for entry in self._stack]
-
-    # ------------------------------------------------------------------
     # Snapshot
     # ------------------------------------------------------------------
     def profile(self) -> SimProfile:
-        """Snapshot the accumulated measurements.
-
-        Raises :class:`ProfilerError` if a phase span is still open —
-        an unbalanced push is a bug at the instrumentation site, not
-        data to report.
-        """
-        if self._stack:
-            raise ProfilerError(
-                f"profile() with open phase spans: {self.open_spans}"
-            )
+        """Snapshot the accumulated measurements."""
         if self._bucket_acc:
             self._flush_bucket()
         return SimProfile(
             phase_wall=dict(self.phase_wall),
             phase_events=dict(self.phase_events),
-            span_wall=dict(self.span_wall),
-            span_events=dict(self.span_events),
             counters=dict(self.counters),
             loop_wall_seconds=self.loop_wall_seconds,
             buckets=[dict(bucket) for bucket in self.buckets],

@@ -16,7 +16,6 @@ Subcommands mirror the benchmark suite::
     isol-bench ctl [--mini] [--trace-out d.jsonl]  # D8 online control matrix
     isol-bench d9 [--mini] [--json out.json]  # D9 surrogate-vs-pure study
     isol-bench surrogate fit|eval|report     # model from the result cache
-    isol-bench bench [--mini] [--compare]    # pinned perf suite + trajectory
     isol-bench cache stats|path|clear        # result-cache maintenance
 
 ``table1`` fans its scenario sweeps over worker processes and caches
@@ -31,6 +30,7 @@ footer: ``perf: events=<n> elapsed=<s>s events/sec=<r> engine=<mode>``
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from repro import KIB
@@ -146,7 +146,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.prof or args.prof_out:
         from repro.prof import ProfConfig
 
-        prof = ProfConfig(timeline_bucket_us=args.prof_bucket_us)
+        try:
+            prof = ProfConfig(timeline_bucket_us=args.prof_bucket_us)
+        except ValueError as exc:
+            raise SystemExit(f"--prof-bucket-us: {exc}") from None
     result = run_scenario(_scenario_from_args(args, "cli-run", prof=prof))
     print(result.describe())
     _print_fault_counters(result)
@@ -241,9 +244,12 @@ def _build_executor(args: argparse.Namespace):
         root = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
         cache = ResultCache(root)
     progress = None if args.quiet else _progress_printer(sys.stderr)
-    return SweepExecutor(
-        max_workers=args.workers, cache=cache, progress=progress
-    )
+    try:
+        return SweepExecutor(
+            max_workers=args.workers, cache=cache, progress=progress
+        )
+    except ValueError as exc:
+        raise SystemExit(f"--workers: {exc}") from None
 
 
 def _sweep_stats_line(executor) -> str:
@@ -267,13 +273,32 @@ def _print_sweep_footer(executor) -> None:
     print(_perf_line(stats.events_processed, stats.elapsed_seconds))
 
 
-def _study_settings(args: argparse.Namespace, mini, quick, default):
-    """The study's settings for ``--mini``, else ``--quick``, else full size."""
+def _study_settings(args: argparse.Namespace, mini, quick, default, **overrides):
+    """The study's settings for ``--mini``, else ``--quick``, else full size.
+
+    ``overrides`` are settings fields set from flags (``None``: flag not
+    given). They go through :func:`dataclasses.replace`, so the
+    settings' own ``__post_init__`` checks them: a rejected value exits
+    with its one-line message before any sweep starts.
+    """
     if args.mini:
-        return mini()
-    if args.quick:
-        return quick()
-    return default()
+        settings = mini()
+    elif args.quick:
+        settings = quick()
+    else:
+        settings = default()
+    changes = {name: value for name, value in overrides.items() if value is not None}
+    try:
+        return dataclasses.replace(settings, **changes)
+    except ValueError as exc:
+        raise SystemExit(f"isol-bench {args.command}: {exc}") from None
+
+
+def _names(text: str | None) -> tuple[str, ...] | None:
+    """A comma-separated flag value as a tuple (``None`` when not given)."""
+    if not text:
+        return None
+    return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
 def _write_json(path: str | None, result, what: str) -> None:
@@ -336,12 +361,13 @@ def _cmd_d5(args: argparse.Namespace) -> int:
         quick_settings,
     )
 
-    settings = _study_settings(args, mini_settings, quick_settings, RobustnessSettings)
-    if args.faults:
-        names = tuple(name.strip() for name in args.faults.split(",") if name.strip())
-        for name in names:
-            get_fault_plan(name)  # fail fast on typos, with the options list
-        settings.fault_classes = names
+    settings = _study_settings(
+        args,
+        mini_settings,
+        quick_settings,
+        RobustnessSettings,
+        fault_classes=_names(args.faults),
+    )
 
     with _build_executor(args) as executor:
         table = evaluate_robustness(settings, executor=executor)
@@ -366,26 +392,19 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         resolve_slo,
     )
     from repro.tune.advisor import write_decision_trace
-    from repro.tune.space import TUNABLE_KNOBS
 
-    settings = _study_settings(args, mini_settings, quick_settings, AutotuneSettings)
-    if args.knob != "auto":
-        names = tuple(name.strip() for name in args.knob.split(",") if name.strip())
-        unknown = set(names) - set(TUNABLE_KNOBS)
-        if unknown:
-            raise SystemExit(
-                f"unknown knob(s) {sorted(unknown)}; options: auto,{','.join(TUNABLE_KNOBS)}"
-            )
-        settings.knobs = names
-    if args.budget is not None:
-        settings.budget = args.budget
-    settings.strategy = args.strategy
-    if args.faults:
-        get_fault_plan(args.faults)  # fail fast on typos, with the options list
-        settings.fault_class = args.faults
-    settings.surrogate = args.surrogate
-    if args.verify_top_k is not None:
-        settings.verify_top_k = args.verify_top_k
+    settings = _study_settings(
+        args,
+        mini_settings,
+        quick_settings,
+        AutotuneSettings,
+        knobs=None if args.knob == "auto" else _names(args.knob),
+        budget=args.budget,
+        strategy=args.strategy,
+        fault_class=args.faults,
+        surrogate=args.surrogate,
+        verify_top_k=args.verify_top_k,
+    )
     slo = resolve_slo(args.slo)
 
     with _build_executor(args) as executor:
@@ -400,8 +419,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from repro.core.d7_placement import (
         compare_placements,
         mini_settings,
@@ -412,9 +429,9 @@ def _cmd_place(args: argparse.Namespace) -> int:
     from repro.fleet.spec import apply_slo_overrides, demo_fleet, load_fleet
     from repro.tune.slo import parse_slo
 
-    settings = _study_settings(args, mini_settings, quick_settings, PlacementSettings)
-    if args.budget is not None:
-        settings = replace(settings, budget=args.budget)
+    settings = _study_settings(
+        args, mini_settings, quick_settings, PlacementSettings, budget=args.budget
+    )
     try:
         fleet = load_fleet(args.fleet) if args.fleet else demo_fleet()
         if args.slo:
@@ -438,11 +455,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
 
 
 def _cmd_ctl(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.core.d8_online import (
-        CTL_KNOBS,
-        DEFAULT_PATTERNS,
         ONLINE,
         OnlineControlSettings,
         build_scenarios,
@@ -451,26 +464,14 @@ def _cmd_ctl(args: argparse.Namespace) -> int:
         quick_settings,
     )
 
-    settings = _study_settings(args, mini_settings, quick_settings, OnlineControlSettings)
-    if args.knobs:
-        settings.knobs = tuple(
-            name.strip() for name in args.knobs.split(",") if name.strip()
-        )
-    if args.patterns:
-        settings.patterns = tuple(
-            name.strip() for name in args.patterns.split(",") if name.strip()
-        )
-    unknown = set(settings.knobs) - set(CTL_KNOBS)
-    if unknown:
-        raise SystemExit(
-            f"unknown knobs: {sorted(unknown)}; options: {list(CTL_KNOBS)}"
-        )
-    unknown = set(settings.patterns) - set(DEFAULT_PATTERNS)
-    if unknown:
-        raise SystemExit(
-            f"unknown patterns: {sorted(unknown)}; "
-            f"options: {list(DEFAULT_PATTERNS)}"
-        )
+    settings = _study_settings(
+        args,
+        mini_settings,
+        quick_settings,
+        OnlineControlSettings,
+        knobs=_names(args.knobs),
+        patterns=_names(args.patterns),
+    )
 
     with _build_executor(args) as executor:
         table = evaluate_online_control(settings, executor=executor)
@@ -522,21 +523,15 @@ def _cmd_d9(args: argparse.Namespace) -> int:
         mini_settings,
         quick_settings,
     )
-    from repro.tune.space import TUNABLE_KNOBS
-
-    settings = _study_settings(args, mini_settings, quick_settings, SurrogateStudySettings)
-    if args.knobs:
-        names = tuple(name.strip() for name in args.knobs.split(",") if name.strip())
-        unknown = set(names) - set(TUNABLE_KNOBS)
-        if unknown:
-            raise SystemExit(
-                f"unknown knobs: {sorted(unknown)}; options: {list(TUNABLE_KNOBS)}"
-            )
-        settings.knobs = names
-    if args.budget is not None:
-        settings.budget = args.budget
-    if args.train_budget is not None:
-        settings.train_budget = args.train_budget
+    settings = _study_settings(
+        args,
+        mini_settings,
+        quick_settings,
+        SurrogateStudySettings,
+        knobs=_names(args.knobs),
+        budget=args.budget,
+        train_budget=args.train_budget,
+    )
 
     with _build_executor(args) as executor:
         report = evaluate_surrogate_study(settings, executor=executor)
@@ -588,7 +583,10 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
             print(f"loaded model: {args.model} ({model.n_rows} training rows)")
             print(_fit_metrics_table(model, corpus, "corpus target"))
             return 0
-        train, held = holdout_split(corpus, every=args.holdout_every)
+        try:
+            train, held = holdout_split(corpus, every=args.holdout_every)
+        except ValueError as exc:
+            raise SystemExit(f"--holdout-every: {exc}") from None
         if not held.rows or train.n_rows < 2:
             raise SystemExit(
                 f"corpus has {corpus.n_rows} rows -- too few for a "
@@ -619,73 +617,6 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
             f"depth={config.max_depth} lr={config.learning_rate}"
         )
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.prof import bench
-
-    cases = None
-    if args.cases:
-        cases = tuple(name.strip() for name in args.cases.split(",") if name.strip())
-
-    directory = args.dir
-    baseline_path = args.baseline or bench.latest_bench_path(directory)
-
-    if args.candidate:
-        record = bench.load_bench(args.candidate)
-        elapsed = 0.0
-        print(f"loaded candidate bench record: {args.candidate}")
-    else:
-        started = time.perf_counter()
-        record = bench.run_bench(
-            repeats=args.repeats,
-            mini=args.mini,
-            cases=cases,
-            workers=args.workers,
-            label=args.label,
-        )
-        elapsed = time.perf_counter() - started
-
-    for name, entry in record["cases"].items():
-        line = (
-            f"case {name:<14s} events={entry['events']:>9,d} "
-            f"events/sec={entry['median_rate']:>9,.0f} "
-            f"normalized={entry['median_normalized']:.3f}"
-        )
-        if entry["kind"] == "profiled" and "coverage" in entry:
-            line += f" coverage={entry['coverage']:.1%}"
-        elif entry["kind"] == "executor" and "executor" in entry:
-            line += (
-                f" util={entry['executor']['utilization']:.0%} "
-                f"cache-hits={entry['cache']['hits']}"
-            )
-        print(line)
-
-    if not args.no_write and not args.candidate:
-        path = bench.write_bench(record, directory)
-        print(f"wrote bench record: {path}")
-
-    status = 0
-    if args.compare:
-        if baseline_path is None:
-            raise SystemExit(
-                f"bench --compare: no baseline record under {directory} "
-                "(pass --baseline or commit one first)"
-            )
-        baseline = bench.load_bench(baseline_path)
-        threshold = (
-            args.threshold if args.threshold is not None else bench.DEFAULT_THRESHOLD
-        )
-        report = bench.compare_benches(baseline, record, threshold=threshold)
-        print(f"\ncompare vs {baseline_path}:")
-        print(report.render())
-        status = 0 if report.ok else 1
-
-    total_events = sum(entry["events"] for entry in record["cases"].values())
-    print(_perf_line(total_events, elapsed))
-    return status
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -1003,59 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="eval holds out every Nth corpus row (default 4)",
     )
     p.set_defaults(fn=_cmd_surrogate)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the pinned perf suite; compare against the trajectory",
-    )
-    p.add_argument(
-        "--mini", action="store_true", help="single repeat (CI; same case content)"
-    )
-    p.add_argument(
-        "--repeats", type=int, default=3, help="paired repeats per case (default 3)"
-    )
-    p.add_argument(
-        "--cases",
-        default=None,
-        help="comma-separated case filter (default: the full suite)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker-pool size for the executor case (default 2)",
-    )
-    p.add_argument("--label", default=None, help="free-form label stored in the record")
-    p.add_argument(
-        "--dir",
-        default="benchmarks/trajectory",
-        help="trajectory directory of BENCH_<n>.json records",
-    )
-    p.add_argument(
-        "--no-write", action="store_true", help="do not write a BENCH_<n>.json record"
-    )
-    p.add_argument(
-        "--compare",
-        action="store_true",
-        help="diff against the baseline; exit 1 on regression",
-    )
-    p.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline record path (default: latest BENCH_<n>.json in --dir)",
-    )
-    p.add_argument(
-        "--candidate",
-        default=None,
-        help="compare a pre-recorded candidate instead of running the suite",
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="slowdown factor that counts as a regression (default 1.3)",
-    )
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("cache", help="inspect or clear the result cache")
     p.add_argument("action", choices=("stats", "path", "clear"))

@@ -79,10 +79,10 @@ def _drive(sim):
     """Interleaved closed chains: every callback schedules its successor.
 
     Eight chains with slightly different periods keep a realistic handful
-    of events pending at once (every actual scenario holds hundreds), the
-    same drive the bench suite's calibration uses. A single chain would
-    instead time the engine's degenerate one-pending-event case, which
-    the slot-wheel core deliberately does not optimize for.
+    of events pending at once (every actual scenario holds hundreds). A
+    single chain would instead time the engine's degenerate
+    one-pending-event case, which the slot-wheel core deliberately does
+    not optimize for.
     """
     state = {"remaining": N_EVENTS}
 

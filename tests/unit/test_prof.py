@@ -4,8 +4,6 @@ The contract under test:
 
 * phase attribution maps callback code objects onto the pipeline
   taxonomy and the breakdown covers (>= 90% of) the loop wall-clock;
-* explicit phase spans nest with exclusive attribution and misuse
-  raises instead of producing silently-wrong numbers;
 * profiling NEVER changes simulation results (bit-identical summary
   vs an unprofiled run);
 * the exports load with their standard consumers (``pstats.Stats``,
@@ -25,7 +23,6 @@ from repro.prof import (
     ENGINE_POP,
     PHASES,
     ProfConfig,
-    ProfilerError,
     SimProfiler,
     format_phase_table,
     phase_of_code,
@@ -34,7 +31,6 @@ from repro.prof import (
 )
 from repro.prof.export import PROF_PID, chrome_profile_events
 from repro.prof.phases import phase_of_filename
-from repro.prof.profiler import merge_profiles
 from repro.workloads.apps import batch_app, lc_app
 
 
@@ -72,52 +68,6 @@ class TestPhases:
         from repro.prof.phases import _FRAGMENT_PHASES
 
         assert {phase for _, phase in _FRAGMENT_PHASES} <= set(PHASES)
-
-
-class TestSpans:
-    def test_nested_spans_close_in_order(self):
-        prof = SimProfiler()
-        prof.push("outer")
-        prof.push("inner")
-        assert prof.open_spans == ["outer", "inner"]
-        prof.pop("inner")
-        prof.pop("outer")
-        assert prof.open_spans == []
-        profile = prof.profile()
-        assert profile.span_events == {"outer": 1, "inner": 1}
-        assert profile.span_wall["outer"] >= 0.0
-        assert profile.span_wall["inner"] >= 0.0
-
-    def test_pop_mismatch_raises(self):
-        prof = SimProfiler()
-        prof.push("outer")
-        with pytest.raises(ProfilerError, match="mismatch"):
-            prof.pop("inner")
-
-    def test_pop_without_push_raises(self):
-        with pytest.raises(ProfilerError, match="no open phase span"):
-            SimProfiler().pop()
-
-    def test_profile_with_open_span_raises(self):
-        prof = SimProfiler()
-        prof.push("outer")
-        with pytest.raises(ProfilerError, match="open phase spans"):
-            prof.profile()
-
-    def test_context_manager_is_exception_safe(self):
-        prof = SimProfiler()
-        with pytest.raises(RuntimeError, match="boom"):
-            with prof.phase("stage"):
-                raise RuntimeError("boom")
-        assert prof.open_spans == []
-        assert prof.profile().span_events == {"stage": 1}
-
-    def test_reentered_span_accumulates(self):
-        prof = SimProfiler()
-        for _ in range(3):
-            with prof.phase("stage"):
-                pass
-        assert prof.profile().span_events == {"stage": 3}
 
 
 class TestProfiledRun:
@@ -243,10 +193,3 @@ class TestExports:
         encoded = json.dumps(profile.to_json_dict())
         decoded = json.loads(encoded)
         assert decoded["coverage"] == pytest.approx(profile.coverage())
-
-    def test_merge_profiles_sums(self, profile):
-        merged = merge_profiles([profile, profile])
-        assert merged.loop_wall_seconds == pytest.approx(
-            2 * profile.loop_wall_seconds
-        )
-        assert merged.events_accounted == 2 * profile.events_accounted

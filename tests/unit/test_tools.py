@@ -200,3 +200,71 @@ class TestPerfFooter:
         assert pstats.Stats(out_path).stats  # loadable by the stdlib
         last = out.strip().splitlines()[-1]
         assert PERF_LINE_RE.match(last), last
+
+
+def exit_message(argv: list[str]) -> str:
+    """Run the CLI expecting a one-line ``SystemExit`` message; return it."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    message = info.value.code
+    assert isinstance(message, str), message  # a message, not a bare status
+    assert "\n" not in message
+    return message
+
+
+class TestCliRejectsBadFlags:
+    """Bad flag values exit before any sweep starts, with one line each.
+
+    Study overrides go through the settings' own ``__post_init__``.
+    """
+
+    def test_d5_empty_fault_list(self):
+        assert "need at least one fault class" in exit_message(
+            ["d5", "--mini", "--no-cache", "--faults", ","]
+        )
+
+    def test_d5_unknown_fault_class(self):
+        assert "unknown fault classes ['bogus']" in exit_message(
+            ["d5", "--mini", "--no-cache", "--faults", "gc-storm,bogus"]
+        )
+
+    def test_tune_zero_budget(self):
+        assert "budget must be >= 1" in exit_message(
+            ["tune", "--mini", "--no-cache", "--budget", "0"]
+        )
+
+    def test_d9_train_budget_below_floor(self):
+        assert "train_budget must be >= 2" in exit_message(
+            ["d9", "--mini", "--no-cache", "--knobs", "io.max", "--train-budget", "1"]
+        )
+
+    def test_ctl_empty_knob_list(self):
+        assert "need at least one knob" in exit_message(
+            ["ctl", "--mini", "--no-cache", "--knobs", ","]
+        )
+
+    def test_ctl_unknown_pattern_lists_options(self):
+        message = exit_message(["ctl", "--mini", "--no-cache", "--patterns", "tsunami"])
+        assert "unknown patterns: ['tsunami']; options:" in message
+
+    @pytest.mark.parametrize("command", ["table1", "d5", "tune", "place", "ctl", "d9"])
+    def test_zero_workers(self, command):
+        argv = [command, "--quick"] if command == "table1" else [command, "--mini"]
+        assert exit_message([*argv, "--no-cache", "--workers", "0"]).startswith(
+            "--workers:"
+        )
+
+    def test_negative_prof_bucket(self):
+        assert exit_message(
+            ["run", *QUICK_RUN_ARGS, "--prof", "--prof-bucket-us", "-5"]
+        ).startswith("--prof-bucket-us:")
+
+    def test_place_zero_budget(self):
+        assert "budget must be >= 1" in exit_message(
+            ["place", "--mini", "--no-cache", "--budget", "0"]
+        )
+
+    def test_surrogate_eval_holdout_every_zero(self, tmp_path):
+        assert exit_message(
+            ["surrogate", "eval", "--cache-dir", str(tmp_path), "--holdout-every", "0"]
+        ).startswith("--holdout-every:")
