@@ -243,10 +243,10 @@ class Scenario:
     # interpreted at device scale 1 and dilated by device_scale when the
     # host is wired.
     faults: Optional[FaultPlan] = None
-    # Self-profiling: None (the default) runs the bare event loop; a
-    # repro.prof.ProfConfig switches the host onto the profiled loop,
-    # which attributes every fired callback's wall-clock time to a
-    # pipeline phase. Profiling never changes simulation results
+    # Self-profiling: None (the default) builds no profiler; a
+    # repro.prof.ProfConfig attaches one to the host's simulator, which
+    # attributes every fired callback's wall-clock time to a pipeline
+    # phase. Profiling never changes simulation results
     # (bit-identity is test-pinned), but like tracing the artifact
     # lives on the Host, so profiled scenarios bypass the result cache.
     prof: Optional[ProfConfig] = None

@@ -67,6 +67,9 @@ class Host:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.sim = Simulator()
+        # Built before anything schedules: the profiler wraps every
+        # callback scheduled on this simulator from here on.
+        self.profiler = self._build_profiler()
         self.rngs = RngStreams(scenario.seed)
         self.hierarchy = CgroupHierarchy()
         self.collector = MetricsCollector()
@@ -126,7 +129,6 @@ class Host:
         self.injectors, self.coordinator = self._build_faults()
         self.tracer, self.sampler = self._build_observability()
         self.ctl_plane, self.ctl_sampler = self._build_ctl()
-        self.profiler = self._build_profiler()
         self.wc_probes = [
             WorkConservationProbe(
                 self.sim,
@@ -442,18 +444,19 @@ class Host:
         """Self-profiler per ``scenario.prof`` (None when off).
 
         Like tracing and faults, profiling is composed at construction
-        time: without a ProfConfig no profiler exists and :meth:`run`
-        drives the bare event loop; with one, the host switches to the
-        profiled loop variant, which fires the same events in the same
-        order (results are bit-identical) while attributing wall-clock
-        time to pipeline phases.
+        time: without a ProfConfig no profiler exists and the simulator
+        is untouched; with one, the profiler is attached to the
+        simulator, timing each callback it fires. The same events fire
+        in the same order, so results are bit-identical.
         """
         config = self.scenario.prof
         if config is None:
             return None
         from repro.prof.profiler import SimProfiler
 
-        return SimProfiler(config)
+        profiler = SimProfiler(config)
+        profiler.attach(self.sim)
+        return profiler
 
     def _observability_snapshot(self):
         """Build the sampler's per-tick snapshot function.
@@ -666,7 +669,7 @@ class Host:
 
         self.sim.schedule_at(self.scenario.warmup_us, begin_measurement)
         if self.profiler is not None:
-            self.sim.run_until_profiled(self.scenario.duration_us, self.profiler)
+            self.profiler.run_until(self.sim, self.scenario.duration_us)
             if self.tracer is not None:
                 self.profiler.counters["obs.spans"] = float(len(self.tracer.spans))
             if self.sampler is not None:

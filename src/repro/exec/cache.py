@@ -17,9 +17,10 @@ leave a half-written entry behind.
 Invalidation is purely structural: the key hashes the full scenario
 content plus :data:`~repro.exec.cachekey.SCHEMA_VERSION`, so editing a
 scenario, a device preset or a knob parameter changes the key, while
-unrelated code edits leave it stable. ``repro-cache clear`` (or
+unrelated code edits leave it stable. ``isol-bench cache clear`` (or
 :meth:`ResultCache.clear`) wipes everything for simulator-semantics
-changes that keys cannot see.
+changes that keys cannot see; ``isol-bench cache stats|path`` inspect
+the store.
 """
 
 from __future__ import annotations
@@ -156,41 +157,3 @@ class ResultCache:
             except OSError:
                 pass
         return removed
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``repro-cache``: inspect or clear the scenario result cache."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-cache",
-        description="Manage the isol-bench scenario result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"cache directory (default: ${_ENV_VAR} or {_DEFAULT_DIRNAME}/)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("stats", help="entry count and total size")
-    sub.add_parser("path", help="print the cache directory path")
-    sub.add_parser("clear", help="remove every cached result")
-    args = parser.parse_args(argv)
-
-    cache = ResultCache(Path(args.cache_dir) if args.cache_dir else default_cache_dir())
-    if args.command == "path":
-        print(cache.root)
-    elif args.command == "stats":
-        entries = cache.entries()
-        print(
-            f"{cache.root}: {len(entries)} entr(ies), "
-            f"{cache.size_bytes() / 1024.0:.1f} KiB"
-        )
-    elif args.command == "clear":
-        removed = cache.clear()
-        print(f"{cache.root}: removed {removed} entr(ies)")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

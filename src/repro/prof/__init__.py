@@ -9,8 +9,9 @@ a hot-path change is only a win if the per-phase breakdown says so.
 timers over the engine hot path. Every fired event callback is
 attributed to a phase of the request pipeline (workload issue, throttle
 decision, scheduler dispatch, device service, fault injection, obs
-emission, …) by the module that owns the callback, plus event
-counters. Enable by passing ``prof=ProfConfig()`` to a
+emission, …) by the module that owns the callback — or, for a
+``QueuedServer`` completion, by the CPU or device resource that owns
+the server — plus event counters. Enable by passing ``prof=ProfConfig()`` to a
 :class:`~repro.core.config.Scenario`; read the :class:`SimProfile` back
 from ``ScenarioResult.profile``. With ``prof=None`` (the default) the
 simulator runs the exact un-instrumented event loop — the same

@@ -20,8 +20,8 @@ class ProfConfig:
 
     * ``timeline_bucket_us`` — width (in *simulated* microseconds) of
       the per-phase timeline buckets used by the Chrome-trace exporter;
-      ``0`` (the default) records phase totals only, which is what the
-      bench harness needs and keeps profiled runs lean.
+      ``0`` (the default) records phase totals only, which keeps
+      profiled runs lean.
     """
 
     timeline_bucket_us: float = 0.0

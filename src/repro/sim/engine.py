@@ -8,15 +8,19 @@ naturally onto chained callbacks.
 
 Two interchangeable cores produce bit-identical simulations:
 
-* the **batched** core (default): plain-list event entries ordered by
-  C-level tuple comparison, a calendar/slot-wheel front-end that buckets
-  near-future events into ``wheel_slots`` rotating slots (far-future
+* the **batched** core (default): a calendar/slot-wheel front-end that
+  buckets near-future events into ``wheel_slots`` rotating slots (far-future
   events wait in an overflow heap and migrate as the wheel turns), and a
   same-timestamp batch-pop inner loop that fires equal-time events
   without re-checking the stop condition between them;
-* the **legacy** core: the original single-``heappop`` loop over
-  ``_Event`` objects, kept as the differential-testing oracle behind
+* the **legacy** core: the original single-``heappop`` loop over one
+  binary heap, kept as the differential-testing oracle behind
   ``ISOLBENCH_ENGINE=legacy`` / ``EngineConfig(batching=False)``.
+
+Both cores store the same event handle, a plain 4-item list
+``[time, seq, fn, consumed]``, and each has exactly one event-draining
+loop (``_run_core``); profiling wraps ``schedule`` from outside (see
+:mod:`repro.prof`) rather than running a second loop.
 
 Both cores preserve the exact (time, seq) total order — events scheduled
 for the same timestamp fire in FIFO scheduling order — and the O(1)
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterator
 
-# Batched-core entries are plain 4-item lists [time, seq, fn, consumed]:
+# Event entries are plain 4-item lists [time, seq, fn, consumed]:
 # heapq compares them with C-level list comparison (seq is unique, so fn
 # is never reached), which profiles ~1.8x faster than calling a Python
 # __lt__ per comparison. Index of the consumed/cancelled flag:
@@ -74,48 +78,6 @@ class EngineConfig:
         return cls()
 
 
-class _Event:
-    """A scheduled callback (legacy-core handle).
-
-    Cancellation is implemented with a flag rather than heap removal:
-    removing from the middle of a heap is O(n), flipping a flag is O(1)
-    and cancelled events are simply skipped when popped. Fired events are
-    flagged cancelled too (consumed), which both makes cancel-after-fire
-    a no-op and lets the simulator keep an O(1) pending-event count as
-    ``stored - (cancelled_total - cancelled_popped)`` with zero extra
-    work in the fire path beyond the flag store.
-    """
-
-    __slots__ = ("time", "seq", "fn", "cancelled")
-
-    # Set as a class attribute on a per-simulator subclass (see
-    # _LegacySimulator.__init__) so the constructor stays four stores —
-    # event creation is the hottest allocation in the simulator.
-    sim: "Simulator"
-
-    def __init__(self, time: float, seq: int, fn: Callable[[], Any]):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.cancelled = False
-
-    def __lt__(self, other: "_Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def cancel(self) -> None:
-        """Prevent this event from firing (no-op if already fired)."""
-        if not self.cancelled:
-            self.cancelled = True
-            self.sim._cancelled_total += 1
-
-    @property
-    def active(self) -> bool:
-        """True while the event is still pending (not fired, not cancelled)."""
-        return not self.cancelled
-
-
 class Simulator:
     """A discrete-event simulator with a microsecond clock.
 
@@ -125,9 +87,8 @@ class Simulator:
     (default :meth:`EngineConfig.from_env`); both are subclasses, so
     ``isinstance(sim, Simulator)`` holds either way.
 
-    Event handles returned by :meth:`schedule` are core-specific opaque
-    objects — cancel and query them through the mode-agnostic
-    :meth:`cancel` / :meth:`event_active` methods.
+    Event handles returned by :meth:`schedule` are opaque — cancel and
+    query them through :meth:`cancel` / :meth:`event_active`.
     """
 
     def __new__(cls, config: "EngineConfig | None" = None):
@@ -163,41 +124,41 @@ class Simulator:
         """Schedule ``fn`` at an absolute simulated time."""
         return self.schedule(time_us - self.now, fn)
 
-    def cancel(self, event: Any) -> None:
+    def cancel(self, event: list) -> None:
         """Prevent a scheduled event from firing (no-op if already fired).
 
-        Works on handles from either core; the preferred spelling for
-        all engine clients (the legacy ``handle.cancel()`` still works
-        in legacy mode only).
+        Cancellation flips a flag rather than removing the entry: removal
+        from the middle of a heap is O(n), and cancelled entries are
+        simply skipped when popped.
         """
-        if event.__class__ is list:
-            if not event[_CANCELLED]:
-                event[_CANCELLED] = True
-                self._cancelled_total += 1
-        else:
-            event.cancel()
+        if not event[_CANCELLED]:
+            event[_CANCELLED] = True
+            self._cancelled_total += 1
 
-    def event_active(self, event: Any) -> bool:
+    def event_active(self, event: list) -> bool:
         """True while the handle's event is pending (not fired/cancelled)."""
-        if event.__class__ is list:
-            return not event[_CANCELLED]
-        return event.active
+        return not event[_CANCELLED]
+
+    def run_until(self, end_time_us: float) -> None:
+        """Run events until the clock reaches ``end_time_us``.
+
+        Events scheduled exactly at ``end_time_us`` are executed; the clock
+        finishes at ``end_time_us`` even if all events drain earlier.
+        """
+        self._run_core(end_time_us)
+        self.now = max(self.now, end_time_us)
+
+    def run(self) -> None:
+        """Run until no events remain."""
+        self._run_core(float("inf"))
 
     # -- core-specific surface (overridden) ----------------------------
     def schedule(self, delay_us: float, fn: Callable[[], Any]) -> Any:
         """Schedule ``fn`` to run ``delay_us`` microseconds from now."""
         raise NotImplementedError
 
-    def run_until(self, end_time_us: float) -> None:
-        """Run events until the clock reaches ``end_time_us``."""
-        raise NotImplementedError
-
-    def run(self) -> None:
-        """Run until no events remain."""
-        raise NotImplementedError
-
-    def run_until_profiled(self, end_time_us: float, profiler) -> None:
-        """:meth:`run_until` with per-event phase timing."""
+    def _run_core(self, end_time_us: float) -> None:
+        """Fire events in (time, seq) order up to ``end_time_us``."""
         raise NotImplementedError
 
     def pending_events(self) -> int:
@@ -221,11 +182,7 @@ class _LegacySimulator(Simulator):
         super().__init__(config)
         if self.config.batching:
             self.config = EngineConfig(batching=False)
-        self._heap: list[_Event] = []
-        # Events reach their simulator through a class attribute rather
-        # than an instance slot: cancel() is rare, event construction is
-        # not, and this keeps the constructor as cheap as a plain event.
-        self._event_cls = type("_BoundEvent", (_Event,), {"sim": self, "__slots__": ()})
+        self._heap: list[list] = []
 
     @property
     def events_processed(self) -> int:
@@ -234,118 +191,39 @@ class _LegacySimulator(Simulator):
         Derived rather than counted: every scheduled event is either still
         in the heap, was popped cancelled, or fired. Keeping this out of
         the fire loop pays for the consumed-flag store, so the loop does
-        the same number of attribute stores per event as a loop with no
+        the same number of stores per event as a loop with no
         cancellation bookkeeping at all.
         """
         return self._seq - len(self._heap) - self._cancelled_popped
 
-    def schedule(self, delay_us: float, fn: Callable[[], Any]) -> _Event:
+    def schedule(self, delay_us: float, fn: Callable[[], Any]) -> list:
         """Schedule ``fn`` to run ``delay_us`` microseconds from now.
 
-        Returns an event handle; :meth:`Simulator.cancel` prevents firing.
-        Negative delays are rejected: an event cannot fire in the past.
+        Returns an event handle for :meth:`Simulator.cancel`. Negative
+        delays are rejected: an event cannot fire in the past.
         """
         if delay_us < 0:
             raise SimulationError(f"cannot schedule event {delay_us}us in the past")
-        event = self._event_cls(self.now + delay_us, self._seq, fn)
+        entry = [self.now + delay_us, self._seq, fn, False]
         self._seq += 1
-        heappush(self._heap, event)
-        return event
+        heappush(self._heap, entry)
+        return entry
 
-    def run_until(self, end_time_us: float) -> None:
-        """Run events until the clock reaches ``end_time_us``.
-
-        Events scheduled exactly at ``end_time_us`` are executed; the clock
-        finishes at ``end_time_us`` even if the heap drains earlier.
-        """
+    def _run_core(self, end_time_us: float) -> None:
+        """Pop and fire heap entries one at a time up to ``end_time_us``."""
         heap = self._heap
         pop = heappop
         while heap:
-            event = heap[0]
-            if event.time > end_time_us:
+            entry = heap[0]
+            if entry[0] > end_time_us:
                 break
             pop(heap)
-            if event.cancelled:
+            if entry[3]:
                 self._cancelled_popped += 1
                 continue
-            event.cancelled = True  # consumed: cancel() is now a no-op
-            self.now = event.time
-            event.fn()
-        self.now = max(self.now, end_time_us)
-
-    def run(self) -> None:
-        """Run until no events remain."""
-        heap = self._heap
-        pop = heappop
-        while heap:
-            event = pop(heap)
-            if event.cancelled:
-                self._cancelled_popped += 1
-                continue
-            event.cancelled = True  # consumed: cancel() is now a no-op
-            self.now = event.time
-            event.fn()
-
-    def run_until_profiled(self, end_time_us: float, profiler) -> None:
-        """:meth:`run_until` with per-event phase timing.
-
-        A separate method rather than a branch inside :meth:`run_until`
-        on purpose: the un-profiled loop must stay byte-for-byte the
-        seed hot path (``tests/unit/test_obs_overhead.py`` guards it).
-        Semantics are identical — same firing order, same cancellation
-        bookkeeping, same final clock — so a profiled run produces
-        bit-identical simulation results; it only additionally reads
-        the wall clock twice per event and attributes the callback's
-        time to its pipeline phase (see :mod:`repro.prof.phases`).
-        """
-        from time import perf_counter as perf
-
-        heap = self._heap
-        pop = heappop
-        phase_wall = profiler.phase_wall
-        phase_events = profiler.phase_events
-        cache = profiler._phase_cache
-        resolve = profiler.resolve_phase
-        bucket_us = profiler.bucket_us
-        heap_peak = len(heap)
-        loop_start = perf()
-        t_prev = loop_start
-        while heap:
-            event = heap[0]
-            if event.time > end_time_us:
-                break
-            if len(heap) > heap_peak:
-                heap_peak = len(heap)
-            pop(heap)
-            if event.cancelled:
-                self._cancelled_popped += 1
-                continue
-            event.cancelled = True  # consumed: cancel() is now a no-op
-            self.now = event.time
-            fn = event.fn
-            t0 = perf()
-            fn()
-            t1 = perf()
-            code = getattr(fn, "__code__", None)
-            phase = cache.get(code)
-            if phase is None:
-                phase = resolve(fn)
-            elapsed = t1 - t0
-            phase_wall[phase] = phase_wall.get(phase, 0.0) + elapsed
-            phase_events[phase] = phase_events.get(phase, 0) + 1
-            phase_wall["engine.pop"] += t0 - t_prev
-            t_prev = t1
-            if bucket_us:
-                profiler.bucket_add(event.time, phase, elapsed)
-        self.now = max(self.now, end_time_us)
-        loop_end = perf()
-        phase_wall["engine.pop"] += loop_end - t_prev
-        profiler.loop_wall_seconds += loop_end - loop_start
-        counters = profiler.counters
-        counters["events.heap_peak"] = max(
-            counters.get("events.heap_peak", 0.0), float(heap_peak)
-        )
-        profiler.note_engine(self)
+            entry[3] = True  # consumed: cancel() is now a no-op
+            self.now = entry[0]
+            entry[2]()
 
     def pending_events(self) -> int:
         """Number of not-yet-fired, not-cancelled events (O(1))."""
@@ -353,8 +231,8 @@ class _LegacySimulator(Simulator):
 
     def pending_entries(self) -> Iterator[tuple[float, int, bool]]:
         """Debug view of heap entries as ``(time, seq, active)`` (O(n))."""
-        for event in self._heap:
-            yield (event.time, event.seq, not event.cancelled)
+        for entry in self._heap:
+            yield (entry[0], entry[1], not entry[3])
 
 
 class _BatchedSimulator(Simulator):
@@ -526,118 +404,6 @@ class _BatchedSimulator(Simulator):
                     if not slot or slot[0][0] != t:
                         break
             self._active = None
-
-    def run_until(self, end_time_us: float) -> None:
-        """Run events until the clock reaches ``end_time_us``.
-
-        Events scheduled exactly at ``end_time_us`` are executed; the clock
-        finishes at ``end_time_us`` even if all events drain earlier.
-        """
-        self._run_core(end_time_us)
-        self.now = max(self.now, end_time_us)
-
-    def run(self) -> None:
-        """Run until no events remain."""
-        self._run_core(float("inf"))
-
-    def run_until_profiled(self, end_time_us: float, profiler) -> None:
-        """:meth:`run_until` with per-event phase timing.
-
-        A separate method rather than a branch inside the hot loop, for
-        the same reason as the legacy core: the un-profiled loop stays
-        the guarded hot path. Firing order, cancellation bookkeeping and
-        the final clock are identical to :meth:`run_until`; the profiled
-        loop additionally reads the wall clock twice per event, charges
-        the callback to its phase and the gap to ``engine.pop``, and
-        tracks the stored-entry peak (the batched analogue of the legacy
-        heap peak).
-        """
-        from time import perf_counter as perf
-
-        slots = self._slots
-        mask = self._mask
-        pop = heappop
-        phase_wall = profiler.phase_wall
-        phase_events = profiler.phase_events
-        cache = profiler._phase_cache
-        resolve = profiler.resolve_phase
-        bucket_us = profiler.bucket_us
-        # Per-event work stays O(1) and dict-light: wall time and counts
-        # accumulate per callback *code object* (a handful of keys), and
-        # are folded into the per-phase dicts once, after the loop.
-        code_wall: dict = {}
-        code_wall_get = code_wall.get
-        pop_wall = 0.0
-        heap_peak = self._stored
-        loop_start = perf()
-        t_prev = loop_start
-        stop = False
-        while self._stored and not stop:
-            slot = slots[self._head & mask]
-            if not slot:
-                if not self._advance():
-                    break
-                slot = slots[self._head & mask]
-            if len(slot) > 1:
-                heapify(slot)
-            self._active = slot
-            while slot:
-                t = slot[0][0]
-                if t > end_time_us:
-                    stop = True
-                    break
-                while True:
-                    if self._stored > heap_peak:
-                        heap_peak = self._stored
-                    entry = pop(slot)
-                    self._stored -= 1
-                    if entry[3]:
-                        self._cancelled_popped += 1
-                    else:
-                        # Clock moves only for firing entries (see
-                        # _run_core): legacy-core parity on trailing
-                        # cancelled events.
-                        self.now = t
-                        entry[3] = True  # consumed: cancel() is now a no-op
-                        fn = entry[2]
-                        t0 = perf()
-                        fn()
-                        t1 = perf()
-                        try:
-                            code = fn.__code__
-                        except AttributeError:
-                            code = None
-                        rec = code_wall_get(code)
-                        if rec is None:
-                            rec = code_wall[code] = [0.0, 0, fn]
-                        elapsed = t1 - t0
-                        rec[0] += elapsed
-                        rec[1] += 1
-                        pop_wall += t0 - t_prev
-                        t_prev = t1
-                        if bucket_us:
-                            phase = cache.get(code)
-                            if phase is None:
-                                phase = resolve(fn)
-                            profiler.bucket_add(t, phase, elapsed)
-                    if not slot or slot[0][0] != t:
-                        break
-            self._active = None
-        self.now = max(self.now, end_time_us)
-        loop_end = perf()
-        for code, (wall, count, fn) in code_wall.items():
-            phase = cache.get(code)
-            if phase is None:
-                phase = resolve(fn)
-            phase_wall[phase] = phase_wall.get(phase, 0.0) + wall
-            phase_events[phase] = phase_events.get(phase, 0) + count
-        phase_wall["engine.pop"] += pop_wall + (loop_end - t_prev)
-        profiler.loop_wall_seconds += loop_end - loop_start
-        counters = profiler.counters
-        counters["events.heap_peak"] = max(
-            counters.get("events.heap_peak", 0.0), float(heap_peak)
-        )
-        profiler.note_engine(self)
 
     def pending_events(self) -> int:
         """Number of not-yet-fired, not-cancelled events (O(1))."""

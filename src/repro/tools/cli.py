@@ -105,30 +105,33 @@ def _perf_line(events: int | float, elapsed: float) -> str:
 def _scenario_from_args(
     args: argparse.Namespace, name: str, trace=None, prof=None
 ) -> Scenario:
-    apps = []
-    for i in range(args.batch_apps):
-        apps.append(
-            batch_app(f"batch{i}", f"/tenants/batch{i}", size=args.size * KIB)
+    try:
+        apps = []
+        for i in range(args.batch_apps):
+            apps.append(
+                batch_app(f"batch{i}", f"/tenants/batch{i}", size=args.size * KIB)
+            )
+        for i in range(args.lc_apps):
+            apps.append(lc_app(f"lc{i}", f"/tenants/lc{i}"))
+        if not apps:
+            raise SystemExit("need at least one app (--batch-apps/--lc-apps)")
+        return Scenario(
+            name=name,
+            knob=_make_knob(args.knob),
+            apps=apps,
+            ssd_model=get_preset(args.device),
+            num_devices=args.devices,
+            cores=args.cores,
+            duration_s=args.duration,
+            warmup_s=args.duration * 0.25,
+            device_scale=args.device_scale,
+            seed=args.seed,
+            trace=trace,
+            faults=get_fault_plan(args.faults) if args.faults else None,
+            prof=prof,
         )
-    for i in range(args.lc_apps):
-        apps.append(lc_app(f"lc{i}", f"/tenants/lc{i}"))
-    if not apps:
-        raise SystemExit("need at least one app (--batch-apps/--lc-apps)")
-    return Scenario(
-        name=name,
-        knob=_make_knob(args.knob),
-        apps=apps,
-        ssd_model=get_preset(args.device),
-        num_devices=args.devices,
-        cores=args.cores,
-        duration_s=args.duration,
-        warmup_s=args.duration * 0.25,
-        device_scale=args.device_scale,
-        seed=args.seed,
-        trace=trace,
-        faults=get_fault_plan(args.faults) if args.faults else None,
-        prof=prof,
-    )
+    except ValueError as exc:
+        raise SystemExit(f"isol-bench {args.command}: {exc}") from None
 
 
 def _print_fault_counters(result) -> None:
@@ -177,7 +180,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    config = TraceConfig(sample_period_us=args.sample_period_us)
+    try:
+        config = TraceConfig(sample_period_us=args.sample_period_us)
+    except ValueError as exc:
+        raise SystemExit(f"isol-bench trace: {exc}") from None
     scenario = _scenario_from_args(args, "cli-trace", trace=config)
     result = run_scenario(scenario)
     trace = result.trace
@@ -552,6 +558,8 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
         load_corpus,
     )
 
+    if args.action == "eval" and not args.model and args.holdout_every < 2:
+        raise SystemExit(f"--holdout-every: must be >= 2, got {args.holdout_every}")
     corpus = load_corpus(args.cache_dir)
     print(f"corpus: {corpus.stats} ({corpus.n_rows} rows)")
 
@@ -565,7 +573,8 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
         return render_table((title, "MAE", "spearman"), rows)
 
     if args.action == "fit":
-        min_rows = args.min_rows if args.min_rows is not None else MIN_CORPUS_ROWS
+        # Two rows is the least any fit accepts, whatever --min-rows says.
+        min_rows = max(2, MIN_CORPUS_ROWS if args.min_rows is None else args.min_rows)
         if corpus.n_rows < min_rows:
             raise SystemExit(
                 f"corpus has {corpus.n_rows} rows (< {min_rows} required); "
@@ -583,10 +592,7 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
             print(f"loaded model: {args.model} ({model.n_rows} training rows)")
             print(_fit_metrics_table(model, corpus, "corpus target"))
             return 0
-        try:
-            train, held = holdout_split(corpus, every=args.holdout_every)
-        except ValueError as exc:
-            raise SystemExit(f"--holdout-every: {exc}") from None
+        train, held = holdout_split(corpus, every=args.holdout_every)
         if not held.rows or train.n_rows < 2:
             raise SystemExit(
                 f"corpus has {corpus.n_rows} rows -- too few for a "
@@ -620,13 +626,19 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.exec.cache import main as cache_main
+    from repro.exec import ResultCache
 
-    argv = []
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    argv.append(args.action)
-    return cache_main(argv)
+    cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
+    if args.action == "path":
+        print(cache.root)
+    elif args.action == "stats":
+        print(
+            f"{cache.root}: {len(cache.entries())} entr(ies), "
+            f"{cache.size_bytes() / 1024.0:.1f} KiB"
+        )
+    else:  # clear
+        print(f"{cache.root}: removed {cache.clear()} entr(ies)")
+    return 0
 
 
 def _add_scenario_args(p: argparse.ArgumentParser, default_lc_apps: int = 0) -> None:
@@ -936,8 +948,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_surrogate)
 
     p = sub.add_parser("cache", help="inspect or clear the result cache")
-    p.add_argument("action", choices=("stats", "path", "clear"))
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument(
+        "action",
+        choices=("stats", "path", "clear"),
+        help="entry count and size, the directory path, or remove every entry",
+    )
+    p.add_argument(
+        "--cache-dir",
+        default=None,
+        help="result cache directory (default: $ISOLBENCH_CACHE_DIR or .isolbench-cache/)",
+    )
     p.set_defaults(fn=_cmd_cache)
 
     return parser

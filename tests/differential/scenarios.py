@@ -4,8 +4,8 @@ One representative scenario per desideratum, each cheap enough that the
 whole suite runs both engine cores in seconds. The shapes deliberately
 cover every scheduler/throttle path (io.cost, BFQ, io.latency, io.max,
 MQ-DL + faults, tuned-QoS io.cost), both workload drive modes
-(closed-loop refill and open-loop Poisson arrivals), and the profiled
-event loop.
+(closed-loop refill and open-loop Poisson arrivals), and a profiled
+run (the profiler's timing closures around every callback).
 
 Module-level so the 2-worker spawn test can pickle builder references.
 """
@@ -49,8 +49,8 @@ _SEED = 7
 def d1_mini() -> Scenario:
     """D1 overhead shape: saturating batch apps, io.cost not controlling.
 
-    The self-profiler is on, so this mini drives ``run_until_profiled``
-    through both cores.
+    The self-profiler is on, so this mini runs every callback through
+    the profiler's timing closure on both cores.
     """
     ssd = samsung_980pro_like()
     apps = batch_scaling_specs(2, queue_depth=32)

@@ -30,7 +30,7 @@ from repro.prof import (
     write_pstats,
 )
 from repro.prof.export import PROF_PID, chrome_profile_events
-from repro.prof.phases import phase_of_filename
+from repro.prof.phases import phase_of_filename, phase_of_server
 from repro.workloads.apps import batch_app, lc_app
 
 
@@ -57,6 +57,11 @@ class TestPhases:
         assert phase_of_filename("/x/src/repro/sim/resources.py") == "device"
         assert phase_of_filename("/x/src/repro/faults/injector.py") == "faults"
         assert phase_of_filename("/home/user/random.py") == "other"
+
+    def test_server_names(self):
+        assert phase_of_server("cpu") == "cpu"
+        assert phase_of_server("ssd0.flash") == "device"
+        assert phase_of_server("ssd3.bus") == "device"
 
     def test_windows_paths_normalize(self):
         assert phase_of_filename("C:\\src\\repro\\metrics\\collector.py") == "metrics"
@@ -85,6 +90,16 @@ class TestProfiledRun:
         # This scenario exercises the dispatch + device pipeline.
         assert profile.phase_wall["device"] > 0
         assert profile.phase_wall["dispatch"] > 0
+
+    def test_server_completions_charged_to_owning_resource(self):
+        profile = run_scenario(tiny_scenario(prof=ProfConfig())).profile
+        assert profile.phase_wall["cpu"] > 0
+        assert profile.phase_wall["device"] > 0
+        # Attributed by module, all 1,203 QueuedServer completions plus
+        # device callbacks of this scenario landed in ``device``; by
+        # owning server they split between the core set and the device.
+        events = profile.phase_events
+        assert events["cpu"] + events["device"] == 1203
 
     def test_counters_match_engine(self):
         result = run_scenario(tiny_scenario(prof=ProfConfig()))

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from repro.core.config import NoneKnob, Scenario
 from repro.core.report import render_series, render_table
 from repro.fleet.spec import demo_fleet
 from repro.iorequest import GIB, KIB, OpType, Pattern
@@ -15,6 +16,7 @@ from repro.tools.iocost_coef_gen import (
     derive_model,
     format_model_line,
 )
+from repro.workloads.apps import batch_app
 
 
 class TestDeriveModel:
@@ -264,7 +266,68 @@ class TestCliRejectsBadFlags:
             ["place", "--mini", "--no-cache", "--budget", "0"]
         )
 
-    def test_surrogate_eval_holdout_every_zero(self, tmp_path):
+    def test_surrogate_eval_holdout_every_zero(self, tmp_path, capsys):
         assert exit_message(
             ["surrogate", "eval", "--cache-dir", str(tmp_path), "--holdout-every", "0"]
         ).startswith("--holdout-every:")
+        # The flag is checked before the corpus is loaded and reported.
+        assert "corpus:" not in capsys.readouterr().out
+
+    def test_surrogate_fit_needs_two_rows_whatever_min_rows(self, tmp_path):
+        assert exit_message(
+            ["surrogate", "fit", "--cache-dir", str(tmp_path), "--min-rows", "-1"]
+        ).startswith("corpus has 0 rows (< 2 required)")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--cores", "0"], "isol-bench run: cores must be >= 1"),
+            (["run", "--devices", "0"], "isol-bench run: num_devices must be >= 1"),
+            (["run", "--duration", "-1"], "isol-bench run: duration must be positive"),
+            (["run", "--size", "0"], "isol-bench run: request size must be positive"),
+            (
+                ["trace", "--sample-period-us", "-1", "--out", "unused.json"],
+                "isol-bench trace: sample period must be >= 0",
+            ),
+        ],
+    )
+    def test_scenario_flags(self, argv, message):
+        assert exit_message(argv).startswith(message)
+
+
+class TestCacheCommand:
+    """``isol-bench cache stats|path|clear`` on a temporary cache dir."""
+
+    @pytest.fixture
+    def cache_dir(self, tmp_path):
+        from repro.exec import ResultCache
+        from repro.exec.summary import run_scenario_summary
+
+        root = tmp_path / "cache"
+        scenario = Scenario(
+            name="cache-cli",
+            knob=NoneKnob(),
+            apps=[batch_app("a", "/t/a")],
+            duration_s=0.01,
+            warmup_s=0.0,
+            device_scale=16.0,
+        )
+        ResultCache(root).put("ab" * 32, run_scenario_summary(scenario))
+        return root
+
+    def run_cache(self, capsys, action, root) -> str:
+        assert main(["cache", action, "--cache-dir", str(root)]) == 0
+        return capsys.readouterr().out.strip()
+
+    def test_path(self, capsys, cache_dir):
+        assert self.run_cache(capsys, "path", cache_dir) == str(cache_dir)
+
+    def test_stats_then_clear(self, capsys, cache_dir):
+        stats = self.run_cache(capsys, "stats", cache_dir)
+        assert re.fullmatch(
+            rf"{re.escape(str(cache_dir))}: 1 entr\(ies\), [\d.]+ KiB", stats
+        )
+        cleared = self.run_cache(capsys, "clear", cache_dir)
+        assert cleared == f"{cache_dir}: removed 1 entr(ies)"
+        stats = self.run_cache(capsys, "stats", cache_dir)
+        assert stats == f"{cache_dir}: 0 entr(ies), 0.0 KiB"
